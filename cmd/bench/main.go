@@ -224,7 +224,7 @@ func run(args []string) error {
 		}},
 		{"stream_fleet", func() error {
 			// The streaming runtime at fleet scale: N procedurally generated
-			// homes advance slot-by-slot over the worker pool. There is no
+			// homes advance day by day over the worker pool. There is no
 			// artifact cache on this path (nothing is materialized), so cold
 			// and warm legs measure the same steady-state throughput; the
 			// emitted stats come from the warm leg.

@@ -6,9 +6,8 @@
 //	experiments [-days N] [-train N] [-seed S] [-workers N] [-quick]
 //	            [-only fig3,tableV,...] [-suite A,B,...] [-scenarios list]
 //	            [-stream list|N] [-stream-days N] [-stream-mqtt]
-//	            [-stream-defend] [-stream-attack] [-stream-legacy-json]
-//	            [-stream-chaos spec] [-stream-checkpoint-dir D]
-//	            [-stream-retries N] [-stream-failfast]
+//	            [-stream-defend] [-stream-attack] [-stream-chaos spec]
+//	            [-stream-checkpoint-dir D] [-stream-retries N] [-stream-failfast]
 //	            [-stream-virtual-clock] [-stream-async-ckpt]
 //	            [-cpuprofile F] [-memprofile F]
 //
@@ -24,17 +23,18 @@
 // -stream runs the streaming fleet instead of (or alongside) the batch
 // experiments: the argument is either a scenario list in the -scenarios
 // syntax or a bare home count N (N procedurally generated homes). Each
-// home advances slot-by-slot through the incremental event core;
-// -stream-defend attaches the online detector, -stream-attack injects a
-// live SHATTER campaign, and -stream-mqtt routes every home's frames
-// through an in-process MQTT broker with a fleet-wide home/+/sensor
-// monitor.
+// home advances one day-block (one home-day) at a time through the
+// incremental event core; -stream-defend attaches the online detector,
+// -stream-attack injects a live SHATTER campaign, and -stream-mqtt routes
+// every home's day-block frames through an in-process MQTT broker with a
+// fleet-wide home/+/sensor monitor.
 // -stream-chaos turns on the fault-tolerant supervisor and injects a
 // deterministic fault schedule into every home's transport. The spec is a
 // comma-separated k=v list: drop, dup, delay, corrupt, trunc and disc set
-// per-frame fault probabilities; seed picks the schedule; maxdelay bounds
-// injected latency (duration syntax); clean is the first fault-free
-// attempt (e.g. "drop=0.001,dup=0.002,seed=7,maxdelay=1ms"). Failed homes
+// fault probabilities per day-block frame (one roll per home-day); seed
+// picks the schedule; maxdelay bounds injected latency (duration syntax);
+// clean is the first fault-free attempt (e.g.
+// "drop=0.3,dup=0.2,seed=7,maxdelay=1ms"). Failed homes
 // retry from their last checkpoint (-stream-checkpoint-dir persists the
 // checkpoints) up to -stream-retries attempts before quarantine;
 // -stream-failfast aborts the fleet on the first quarantine instead.
@@ -83,7 +83,6 @@ func run(args []string) error {
 	streamCkptDir := fs.String("stream-checkpoint-dir", "", "persist per-home day-boundary checkpoints in this directory")
 	streamRetries := fs.Int("stream-retries", 0, "retry budget per failed home (0 = default, negative = no retries)")
 	streamFailFast := fs.Bool("stream-failfast", false, "abort the fleet on the first quarantined home")
-	streamLegacyJSON := fs.Bool("stream-legacy-json", false, "force per-slot JSON framing instead of binary day-block transport")
 	streamVirtualClock := fs.Bool("stream-virtual-clock", false, "run chaos delays and retry backoff on a virtual clock (compute-bound, byte-identical results)")
 	streamAsyncCkpt := fs.Bool("stream-async-ckpt", false, "write day-boundary checkpoints through the async sink instead of inline")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -206,8 +205,7 @@ func run(args []string) error {
 		opts := core.StreamOptions{
 			Days: *streamDays, Defend: *streamDefend, Attack: *streamAttack,
 			MaxRetries: *streamRetries, FailFast: *streamFailFast,
-			CheckpointDir: *streamCkptDir, LegacyJSON: *streamLegacyJSON,
-			AsyncCheckpoints: *streamAsyncCkpt,
+			CheckpointDir: *streamCkptDir, AsyncCheckpoints: *streamAsyncCkpt,
 		}
 		if *streamVirtualClock {
 			opts.Clock = stream.NewVirtualClock()

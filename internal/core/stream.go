@@ -52,16 +52,13 @@ type StreamOptions struct {
 	// time, a stream.VirtualClock makes chaos runs compute-bound with
 	// byte-identical results.
 	Clock stream.Clock
-	// LegacyJSON forces per-slot JSON framing instead of the default binary
-	// day-block transport (see stream.FleetOptions.LegacyJSON). Results are
-	// bit-identical either way.
-	LegacyJSON bool
 }
 
 // Stream drives the scenario worlds as a concurrent streaming fleet: each
-// home advances slot-by-slot through an incremental generator source, the
-// optional live injector, the optional online detector, and the incremental
-// HVAC stepper, across the suite's worker pool with per-home backpressure.
+// home advances one day-block at a time through an incremental generator
+// source, the optional live injector, the optional online detector, and the
+// incremental HVAC stepper, across the suite's worker pool with per-home
+// backpressure.
 // Per-home results and the deterministic aggregate fields are identical for
 // any worker count, and — because every streaming stage is equivalence-
 // locked to its batch counterpart — identical to the batch pipeline over
@@ -85,7 +82,6 @@ func (s *Suite) Stream(specs []scenario.Spec, opts StreamOptions) (stream.FleetR
 		AsyncCheckpoints: opts.AsyncCheckpoints,
 		Chaos:            opts.Chaos,
 		Clock:            opts.Clock,
-		LegacyJSON:       opts.LegacyJSON,
 	})
 }
 

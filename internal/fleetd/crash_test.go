@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/mqtt"
 	"github.com/acyd-lab/shatter/internal/scenario"
 	"github.com/acyd-lab/shatter/internal/stream"
@@ -388,35 +387,36 @@ func TestAdminRidesBrokerRestart(t *testing.T) {
 	}
 }
 
-// stallSource streams normally until an absolute frame, then blocks until
-// the test releases it — the wedged-transport fixture for the liveness
-// watchdog. SeekDay keeps the counter absolute, so every restored attempt
-// wedges at the same place.
+// stallSource streams normally until an absolute day, then blocks until the
+// test releases it — the wedged-transport fixture for the liveness
+// watchdog. SeekDay keeps the day counter absolute, so every restored
+// attempt wedges at the same place. The shard pulls day-blocks only; Next
+// is the embedded source's.
 type stallSource struct {
-	src     stream.Source
-	stallAt int64
-	n       int64
+	stream.Source
+	stallAt int
+	n       int
 	unblock chan struct{}
 }
 
-func (s *stallSource) Next(dst *stream.Slot) error {
+func (s *stallSource) NextBlock(dst *stream.DayBlock) error {
 	if s.n == s.stallAt {
 		<-s.unblock
 		return errors.New("stalled transport released")
 	}
 	s.n++
-	return s.src.Next(dst)
+	return s.Source.NextBlock(dst)
 }
 
 func (s *stallSource) SeekDay(day int) error {
-	sk, ok := s.src.(stream.DaySeeker)
+	sk, ok := s.Source.(stream.DaySeeker)
 	if !ok {
 		return errors.New("stall source cannot seek")
 	}
 	if err := sk.SeekDay(day); err != nil {
 		return err
 	}
-	s.n = int64(day) * int64(aras.SlotsPerDay)
+	s.n = day
 	return nil
 }
 
@@ -440,8 +440,8 @@ func TestShardWatchdogQuarantinesStalledHome(t *testing.T) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// Wedge mid-day-2, past the day-1 checkpoint boundary.
-		return &stallSource{src: src, stallAt: 1500, unblock: unblock}, h, nil
+		// Wedge on day 2, past the day-1 checkpoint boundary.
+		return &stallSource{Source: src, stallAt: 1, unblock: unblock}, h, nil
 	}}
 	jobs := []stream.Job{stalled, specJob(specs[1], days, 12)}
 
@@ -480,5 +480,62 @@ func TestShardWatchdogQuarantinesStalledHome(t *testing.T) {
 	}
 	if snap := svc.Snapshot(); snap.WatchdogTrips < 2 {
 		t.Fatalf("watchdog trips = %d, want >= 2", snap.WatchdogTrips)
+	}
+}
+
+// TestServiceRestartOutcomesMatchJournal: the outcome a finishing home
+// journals is the outcome the live service reports, Duration included — so
+// a service restarted from the same state dir serves identical Outcomes().
+// Chaos on a virtual clock drives homes through retries and quarantine, so
+// the fail path's hand-back is covered as well as completion's.
+func TestServiceRestartOutcomesMatchJournal(t *testing.T) {
+	req := AddRequest{Synth: 8, Seed: 77, Days: 3}
+	stateDir := t.TempDir()
+	boot := func() *Service {
+		t.Helper()
+		svc, err := NewService(Config{Shards: 2, StateDir: stateDir, Jobs: synthFactory,
+			Shard: ShardOptions{
+				Workers: 2, Recover: true, MaxRetries: 1, Clock: stream.NewVirtualClock(),
+				Chaos: &stream.FaultConfig{Seed: 77, Drop: 0.15, Duplicate: 0.15, Disconnect: 0.1},
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	svc := boot()
+	if _, err := svc.AddSpec(req); err != nil {
+		t.Fatal(err)
+	}
+	waitIdleTimeout(t, svc, time.Minute)
+	live := svc.Outcomes()
+	svc.Close(false)
+
+	svc = boot()
+	defer svc.Close(false)
+	if done, active := svc.Resumed(); done != req.Synth || active != 0 {
+		t.Fatalf("restart resumed %d done + %d live homes, want %d done", done, active, req.Synth)
+	}
+	replayed := svc.Outcomes()
+	if len(replayed) != len(live) {
+		t.Fatalf("restart serves %d outcomes, want %d", len(replayed), len(live))
+	}
+	var retried, quarantined int
+	for i := range live {
+		if live[i].Duration <= 0 {
+			t.Fatalf("home %s finished with no drive time: %+v", live[i].ID, live[i])
+		}
+		if replayed[i] != live[i] {
+			t.Fatalf("journaled outcome differs from the live one:\n%+v\nvs\n%+v", replayed[i], live[i])
+		}
+		switch live[i].Status {
+		case stream.OutcomeRetried:
+			retried++
+		case stream.OutcomeQuarantined:
+			quarantined++
+		}
+	}
+	if retried == 0 || quarantined == 0 {
+		t.Fatalf("fixture too tame: %d retried, %d quarantined homes", retried, quarantined)
 	}
 }

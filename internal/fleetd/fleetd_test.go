@@ -282,38 +282,40 @@ func TestShardAdmissionWindow(t *testing.T) {
 	}
 }
 
-// flakySource fails its stream with a transport error at the given absolute
-// frame, passing everything else through. SeekDay keeps the frame counter
-// absolute, so a restored attempt hits the same failure point again.
+// flakySource fails its stream with a transport error when asked for the
+// given absolute day, passing every earlier day-block through. SeekDay keeps
+// the day counter absolute, so a restored attempt hits the same failure
+// point again. The shard pulls day-blocks only; Next is the embedded
+// source's.
 type flakySource struct {
-	src    stream.Source
-	failAt int64
-	n      int64
+	stream.Source
+	failAt int
+	n      int
 }
 
-func (f *flakySource) Next(dst *stream.Slot) error {
+func (f *flakySource) NextBlock(dst *stream.DayBlock) error {
 	if f.n == f.failAt {
 		return errors.New("flaky transport: connection lost")
 	}
 	f.n++
-	return f.src.Next(dst)
+	return f.Source.NextBlock(dst)
 }
 
 func (f *flakySource) SeekDay(day int) error {
-	s, ok := f.src.(stream.DaySeeker)
+	s, ok := f.Source.(stream.DaySeeker)
 	if !ok {
 		return fmt.Errorf("flaky source cannot seek")
 	}
 	if err := s.SeekDay(day); err != nil {
 		return err
 	}
-	f.n = int64(day) * int64(aras.SlotsPerDay)
+	f.n = day
 	return nil
 }
 
-// flakyJob wraps a spec job so the given attempts fail mid-day-2: attempt
-// indexes below cleanFrom lose the connection at frame 1500 (past the day-1
-// checkpoint boundary), later attempts run clean.
+// flakyJob wraps a spec job so the given attempts fail on day 2: attempt
+// indexes below cleanFrom lose the connection at day index 1 (past the
+// day-1 checkpoint boundary), later attempts run clean.
 func flakyJob(sp scenario.Spec, days int, seed uint64, cleanFrom int) stream.Job {
 	base := specJob(sp, days, seed)
 	attempt := 0
@@ -325,7 +327,7 @@ func flakyJob(sp scenario.Spec, days int, seed uint64, cleanFrom int) stream.Job
 		a := attempt
 		attempt++
 		if a < cleanFrom {
-			return &flakySource{src: src, failAt: 1500}, h, nil
+			return &flakySource{Source: src, failAt: 1}, h, nil
 		}
 		return src, h, nil
 	}}

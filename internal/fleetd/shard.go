@@ -15,7 +15,7 @@ import (
 
 // ShardOptions configures one shard's scheduler and transport. The zero
 // value multiplexes over one worker per CPU with a 4096-home admission
-// window, one-day quanta, direct (in-process) frame transport, and no
+// window, one-day quanta, direct (in-process) day-block transport, and no
 // supervision.
 type ShardOptions struct {
 	// Workers is the shard's worker-goroutine count; 0 selects one per CPU.
@@ -56,10 +56,6 @@ type ShardOptions struct {
 	// Clock times chaos delay faults and retry backoff timers; nil (the
 	// default, kept by the live service) is real wall-clock time.
 	Clock stream.Clock
-	// LegacyJSON forces per-slot JSON framing; by default a shard moves
-	// binary day-blocks with or without chaos (see
-	// stream.FleetOptions.LegacyJSON). Results are bit-identical either way.
-	LegacyJSON bool
 
 	// ProgressDeadline arms the liveness watchdog: a running home whose
 	// transport produces no day-boundary advance within this window has the
@@ -71,9 +67,9 @@ type ShardOptions struct {
 	// fires timers immediately, so virtual-time runs should leave this off.
 	ProgressDeadline time.Duration
 
-	// Broker, when non-empty, routes every home's frames through the MQTT
-	// broker at this address (per-home home/<id>/sensor topics), exactly
-	// like stream.RunFleet's MQTT mode.
+	// Broker, when non-empty, routes every home's day-block frames through
+	// the MQTT broker at this address (per-home home/<id>/sensor topics),
+	// exactly like stream.RunFleet's MQTT mode.
 	Broker string
 	// Dial, ProbeTimeout, and ReceiveTimeout configure the broker
 	// connections (see stream.FleetOptions).
@@ -152,9 +148,8 @@ type homeRun struct {
 	job   stream.Job
 	state homeState
 
-	src    stream.Source      // as returned by job.Open (owns real resources)
-	drive  stream.Source      // transport-wrapped source the scheduler pulls
-	bdrive stream.BlockSource // non-nil when the home moves day-blocks
+	src   stream.Source      // as returned by job.Open (owns real resources)
+	drive stream.BlockSource // transport-wrapped day-block source the scheduler pulls
 
 	home *stream.Home
 	pos  int // last ingested absolute slot, for verdict latency
@@ -280,18 +275,17 @@ func (sh *Shard) add(jobs []stream.Job, paused map[string]bool) error {
 }
 
 // worker is one scheduling loop: claim the next runnable home, drive one
-// quantum, repeat. The slot buffer is reused across homes (sources size it
-// per home).
+// quantum, repeat. The day-block buffer is reused across homes (sources
+// size it per home).
 func (sh *Shard) worker() {
 	defer sh.wg.Done()
-	var slot stream.Slot
 	var blk stream.DayBlock
 	for {
 		h := sh.next()
 		if h == nil {
 			return
 		}
-		sh.drive(h, &slot, &blk)
+		sh.drive(h, &blk)
 	}
 }
 
@@ -354,112 +348,64 @@ func (sh *Shard) claimLocked() *homeRun {
 }
 
 // drive advances one home by one quantum (or to end-of-stream) and hands
-// it back to the scheduler.
-func (sh *Shard) drive(h *homeRun, slot *stream.Slot, blk *stream.DayBlock) {
+// it back to the scheduler. The quantum's time is folded into the home's
+// elapsed total before the hand-back: yield, complete, and fail release the
+// home to the scheduler (complete and fail also journal its outcome), so
+// nothing may touch it afterwards.
+func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 	began := time.Now()
-	defer func() { h.elapsed += time.Since(began) }()
+	done, err := sh.quantum(h, blk)
+	h.elapsed += time.Since(began)
+	switch {
+	case err != nil:
+		sh.fail(h, err)
+	case done:
+		sh.complete(h)
+	default:
+		sh.yield(h)
+	}
+}
+
+// quantum opens the home's pipeline if needed and drives up to QuantumDays
+// day-blocks: one frame per home-day, day-boundary checkpoints at the
+// configured cadence, and event metrics from IngestDay's accounting. It
+// reports whether the home reached end-of-stream (h.result then holds the
+// closed home's result). The verdict-latency position advances to the
+// day's last slot before ingesting — a whole day arrives at once, so the
+// latency metric is day-granular.
+func (sh *Shard) quantum(h *homeRun, blk *stream.DayBlock) (bool, error) {
 	if h.home == nil {
 		if err := sh.open(h); err != nil {
-			sh.fail(h, err)
-			return
+			return false, err
 		}
 	}
 	// The watchdog covers the running quantum only: between quanta the home
 	// sits at a day boundary waiting for a worker, and scheduler latency is
 	// not a stall. Every exit path (yield/complete/fail) disarms it.
 	sh.armWatchdog(h)
-	if h.bdrive != nil {
-		sh.driveBlocks(h, blk)
-		return
-	}
 	var slots, sensor, action int64
-	flush := func() {
+	defer func() {
 		sh.met.slots.Add(slots)
 		sh.met.sensorEvents.Add(sensor)
 		sh.met.actionEvents.Add(action)
-	}
-	for d := 0; d < sh.opts.QuantumDays; {
-		err := h.drive.Next(slot)
-		if err == io.EOF {
-			flush()
-			res, cerr := h.home.Close()
-			if cerr != nil {
-				sh.fail(h, cerr)
-				return
-			}
-			h.result = res
-			sh.complete(h)
-			return
-		}
-		if err != nil {
-			flush()
-			sh.fail(h, err)
-			return
-		}
-		h.pos = slot.Day*aras.SlotsPerDay + slot.Index
-		act, err := h.home.Ingest(slot)
-		if err != nil {
-			flush()
-			sh.fail(h, err)
-			return
-		}
-		slots++
-		sensor += int64(slot.SensorEvents())
-		action += int64(len(act.Demands))
-		if slot.Index == aras.SlotsPerDay-1 {
-			h.days = slot.Day + 1
-			sh.met.days.Add(1)
-			d++
-			h.wd.feed()
-			if sh.opts.supervised() && h.days%sh.opts.CheckpointEvery == 0 {
-				if err := sh.checkpoint(h, false); err != nil {
-					flush()
-					sh.fail(h, err)
-					return
-				}
-			}
-		}
-	}
-	flush()
-	sh.yield(h)
-}
-
-// driveBlocks is the quantum loop at day-block granularity: one frame per
-// home-day, the same day-boundary checkpoint cadence, and event metrics
-// from IngestDay's accounting. The verdict-latency position advances to the
-// day's last slot before ingesting — a whole day arrives at once, so the
-// latency metric is day-granular on this path.
-func (sh *Shard) driveBlocks(h *homeRun, blk *stream.DayBlock) {
-	var slots, sensor, action int64
-	flush := func() {
-		sh.met.slots.Add(slots)
-		sh.met.sensorEvents.Add(sensor)
-		sh.met.actionEvents.Add(action)
-	}
+	}()
 	for d := 0; d < sh.opts.QuantumDays; d++ {
-		err := h.bdrive.NextBlock(blk)
+		err := h.drive.NextBlock(blk)
 		if err == io.EOF {
-			flush()
-			res, cerr := h.home.Close()
-			if cerr != nil {
-				sh.fail(h, cerr)
-				return
+			res, err := h.home.Close()
+			if err != nil {
+				return false, err
 			}
 			h.result = res
-			sh.complete(h)
-			return
+			return true, nil
 		}
 		if err != nil {
-			flush()
-			sh.fail(h, err)
-			return
+			return false, err
 		}
 		h.pos = blk.Day*aras.SlotsPerDay + aras.SlotsPerDay - 1
 		st, err := h.home.IngestDay(blk)
 		if err != nil {
-			flush()
-			sh.fail(h, err)
-			return
+			return false, err
 		}
 		slots += int64(aras.SlotsPerDay)
 		sensor += st.SensorEvents
@@ -469,14 +415,11 @@ func (sh *Shard) driveBlocks(h *homeRun, blk *stream.DayBlock) {
 		h.wd.feed()
 		if sh.opts.supervised() && h.days%sh.opts.CheckpointEvery == 0 {
 			if err := sh.checkpoint(h, false); err != nil {
-				flush()
-				sh.fail(h, err)
-				return
+				return false, err
 			}
 		}
 	}
-	flush()
-	sh.yield(h)
+	return false, nil
 }
 
 // open builds (or rebuilds) a home's pipeline on the claiming worker,
@@ -522,13 +465,10 @@ func (sh *Shard) open(h *homeRun) error {
 		}
 	}
 	h.opens++
-	// Same gating as stream.RunFleet: day-block transport is the default
-	// with or without chaos — block-mode faults perturb whole day frames on
-	// the (home, attempt, day)-keyed schedule.
-	useBlocks := !sh.opts.LegacyJSON
+	// Same wiring as stream.RunFleet: faults perturb whole day frames on the
+	// (home, attempt, day)-keyed schedule, in the pipe or around the source.
 	plan := sh.opts.Chaos.Plan(h.job.ID, h.opens-1)
-	var drive stream.Source = src
-	h.bdrive = nil
+	var drive stream.BlockSource
 	if sh.opts.Broker != "" {
 		pipe, perr := stream.OpenPipeOptions(sh.opts.Broker, stream.SensorTopic(h.job.ID), src, stream.PipeOptions{
 			Dial:           sh.opts.Dial,
@@ -536,7 +476,6 @@ func (sh *Shard) open(h *homeRun) error {
 			ReceiveTimeout: sh.opts.ReceiveTimeout,
 			Faults:         plan,
 			Epoch:          h.opens - 1,
-			Blocks:         useBlocks,
 			Clock:          sh.opts.Clock,
 		})
 		if perr != nil {
@@ -544,16 +483,8 @@ func (sh *Shard) open(h *homeRun) error {
 			return perr
 		}
 		drive = pipe
-		if pipe.Blocks() {
-			h.bdrive = pipe
-		}
 	} else {
 		drive = stream.NewFaultSource(src, plan, sh.opts.Clock)
-		if useBlocks {
-			if bsrc, ok := drive.(stream.BlockSource); ok {
-				h.bdrive = bsrc
-			}
-		}
 	}
 	h.src, h.drive, h.home = src, drive, home
 	return nil
@@ -611,11 +542,11 @@ func (h *homeRun) teardown() {
 		closeSource(h.drive) // MQTT pipe: closes pump + subscriptions
 	}
 	closeSource(h.src)
-	h.src, h.drive, h.bdrive, h.home = nil, nil, nil, nil
+	h.src, h.drive, h.home = nil, nil, nil
 }
 
 // closeSource releases a source's resources when it holds any.
-func closeSource(src stream.Source) {
+func closeSource(src stream.BlockSource) {
 	if c, ok := src.(io.Closer); ok {
 		c.Close()
 	}
@@ -678,7 +609,7 @@ func (w *watchdog) fire(gen int) {
 		// stall the timer goroutine behind the very hang being policed.
 		t.Sever()
 	default:
-		target.Close() // unwedges the worker blocked in Next/NextBlock
+		target.Close() // unwedges the worker blocked in NextBlock
 	}
 }
 

@@ -39,9 +39,8 @@ type DayBlock struct {
 // struct-of-arrays layout. NextBlock fills dst (reusing its backing storage
 // where possible) and returns io.EOF at end of stream; blocks are emitted in
 // day order and only from a day boundary — a source whose per-slot cursor
-// sits mid-day refuses to coarsen. Both repository sources implement it, so
-// block-mode pipelines need no capability negotiation with the generator or
-// trace layers.
+// sits mid-day refuses to coarsen. Every Source embeds it, so the fleet
+// engines need no capability negotiation with the generator or trace layers.
 type BlockSource interface {
 	NextBlock(dst *DayBlock) error
 }

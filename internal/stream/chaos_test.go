@@ -39,27 +39,10 @@ func checkSameHomes(t *testing.T, got, want FleetResult) {
 	checkDeterministic(t, zero(got), zero(want))
 }
 
-// chaosClasses is the fault matrix for the LegacyJSON (per-slot) legs.
-// Probabilities are sized for ~2880-frame homes: high enough that first
-// attempts virtually always fail, low enough that a failure usually lands
-// after the first checkpointed day.
-func chaosClasses() map[string]FaultConfig {
-	return map[string]FaultConfig{
-		"drop":       {Seed: 101, Drop: 0.002},
-		"duplicate":  {Seed: 102, Duplicate: 0.005},
-		"delay":      {Seed: 103, Delay: 0.002, MaxDelay: 100 * time.Microsecond},
-		"corrupt":    {Seed: 104, Corrupt: 0.002},
-		"truncate":   {Seed: 105, Truncate: 0.002},
-		"disconnect": {Seed: 106, Disconnect: 0.001},
-		"mixed": {Seed: 107, Drop: 0.0008, Duplicate: 0.002, Delay: 0.0008,
-			Corrupt: 0.0004, Truncate: 0.0004, Disconnect: 0.0002, MaxDelay: 100 * time.Microsecond},
-	}
-}
-
-// blockChaosClasses is the same matrix sized for day-block framing: a
-// 2-day home publishes 2 frames per attempt, so per-frame probabilities
-// are ~0.5 to make first attempts virtually always fail while CleanAttempt
-// still guarantees completion.
+// blockChaosClasses is the fault matrix, one config per class, sized for
+// day-block framing: a 2-day home publishes 2 frames per attempt, so
+// per-frame probabilities are ~0.5 to make first attempts virtually always
+// fail while CleanAttempt still guarantees completion.
 func blockChaosClasses() map[string]FaultConfig {
 	return map[string]FaultConfig{
 		"drop":       {Seed: 201, Drop: 0.5},
@@ -74,12 +57,11 @@ func blockChaosClasses() map[string]FaultConfig {
 }
 
 // TestFleetChaosMatrix runs a supervised fleet under every fault class, on
-// both the direct path and a real MQTT broker, over both framings — the
-// default day-block transport and the equivalence-locked LegacyJSON shim —
-// and requires byte-identical per-home results against the clean
-// unsupervised baseline: recoverable faults must change *nothing* but the
-// retry counters. CHAOS_CLASS narrows the sweep to one class and CHAOS_SEED
-// reseeds the schedule (the CI matrix drives both).
+// both the direct path and a real MQTT broker, and requires byte-identical
+// per-home results against the clean unsupervised baseline: recoverable
+// faults must change *nothing* but the retry counters. CHAOS_CLASS narrows
+// the sweep to one class and CHAOS_SEED reseeds the schedule (the CI matrix
+// drives both).
 func TestFleetChaosMatrix(t *testing.T) {
 	const homes, days = 4, 2
 	jobs := chaosJobs(homes, days)
@@ -97,96 +79,81 @@ func TestFleetChaosMatrix(t *testing.T) {
 		}
 		seed = s
 	}
-	legs := []struct {
-		framing string
-		legacy  bool
-		classes map[string]FaultConfig
-	}{
-		{"block", false, blockChaosClasses()},
-		{"legacy", true, chaosClasses()},
-	}
-	for _, leg := range legs {
-		for name, cfg := range leg.classes {
-			if only != "" && only != name {
-				continue
-			}
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			cfg, leg := cfg, leg
-			// Direct-path expectations: delay only slows frames down; every
-			// other class (duplicates included — the direct path has no dedup
-			// layer) must force retries.
-			t.Run(leg.framing+"/"+name+"/direct", func(t *testing.T) {
-				got, err := RunFleet(jobs, FleetOptions{
-					Workers: 3, Recover: true, Chaos: &cfg, LegacyJSON: leg.legacy,
-					CheckpointDir: t.TempDir(),
-					RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Stats.Quarantined != 0 {
-					t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
-				}
-				checkSameHomes(t, got, baseline)
-				switch name {
-				case "delay":
-					if got.Stats.Retries != 0 {
-						t.Fatalf("delay-only chaos caused %d retries", got.Stats.Retries)
-					}
-				default:
-					if got.Stats.Retries == 0 {
-						t.Fatalf("%s chaos caused no retries (faults not reaching the stream?)", name)
-					}
-				}
-			})
-			t.Run(leg.framing+"/"+name+"/mqtt", func(t *testing.T) {
-				broker, err := mqtt.NewBroker("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer broker.Close()
-				got, err := RunFleet(jobs, FleetOptions{
-					Workers: 3, Broker: broker.Addr(), Recover: true, Chaos: &cfg, LegacyJSON: leg.legacy,
-					CheckpointDir:  t.TempDir(),
-					RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-					ReceiveTimeout: 2 * time.Second,
-					DrainTimeout:   2 * time.Second,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Stats.Quarantined != 0 {
-					t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
-				}
-				checkSameHomes(t, got, baseline)
-				// The clean bus moves one frame per home-day on the block
-				// path, one per slot on the legacy path.
-				expect := got.Stats.Days
-				if leg.legacy {
-					expect = got.Stats.Slots
-				}
-				switch name {
-				case "delay":
-					if got.Stats.Retries != 0 {
-						t.Fatalf("delay-only chaos caused %d retries", got.Stats.Retries)
-					}
-				case "duplicate":
-					// The pipe's position tracking absorbs duplicates entirely.
-					if got.Stats.Retries != 0 {
-						t.Fatalf("transport failed to dedup: %d retries", got.Stats.Retries)
-					}
-					if got.Stats.BusFrames <= expect {
-						t.Fatalf("duplicates missing from the bus: %d frames for %d expected", got.Stats.BusFrames, expect)
-					}
-				default:
-					if got.Stats.Retries == 0 {
-						t.Fatalf("%s chaos caused no retries (faults not reaching the transport?)", name)
-					}
-				}
-			})
+	for name, cfg := range blockChaosClasses() {
+		if only != "" && only != name {
+			continue
 		}
+		if seed != 0 {
+			cfg.Seed = seed
+		}
+		cfg := cfg
+		// Direct-path expectations: delay only slows frames down; every
+		// other class (duplicates included — the direct path has no dedup
+		// layer) must force retries.
+		t.Run("block/"+name+"/direct", func(t *testing.T) {
+			got, err := RunFleet(jobs, FleetOptions{
+				Workers: 3, Recover: true, Chaos: &cfg,
+				CheckpointDir: t.TempDir(),
+				RetryBackoff:  mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Stats.Quarantined != 0 {
+				t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
+			}
+			checkSameHomes(t, got, baseline)
+			switch name {
+			case "delay":
+				if got.Stats.Retries != 0 {
+					t.Fatalf("delay-only chaos caused %d retries", got.Stats.Retries)
+				}
+			default:
+				if got.Stats.Retries == 0 {
+					t.Fatalf("%s chaos caused no retries (faults not reaching the stream?)", name)
+				}
+			}
+		})
+		t.Run("block/"+name+"/mqtt", func(t *testing.T) {
+			broker, err := mqtt.NewBroker("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer broker.Close()
+			got, err := RunFleet(jobs, FleetOptions{
+				Workers: 3, Broker: broker.Addr(), Recover: true, Chaos: &cfg,
+				CheckpointDir:  t.TempDir(),
+				RetryBackoff:   mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+				ReceiveTimeout: 2 * time.Second,
+				DrainTimeout:   2 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Stats.Quarantined != 0 {
+				t.Fatalf("recoverable chaos quarantined %d homes: %+v", got.Stats.Quarantined, got.Outcomes)
+			}
+			checkSameHomes(t, got, baseline)
+			switch name {
+			case "delay":
+				if got.Stats.Retries != 0 {
+					t.Fatalf("delay-only chaos caused %d retries", got.Stats.Retries)
+				}
+			case "duplicate":
+				// The pipe's position tracking absorbs duplicates entirely.
+				if got.Stats.Retries != 0 {
+					t.Fatalf("transport failed to dedup: %d retries", got.Stats.Retries)
+				}
+				// A clean bus moves one frame per home-day.
+				if got.Stats.BusFrames <= got.Stats.Days {
+					t.Fatalf("duplicates missing from the bus: %d frames for %d home-days", got.Stats.BusFrames, got.Stats.Days)
+				}
+			default:
+				if got.Stats.Retries == 0 {
+					t.Fatalf("%s chaos caused no retries (faults not reaching the transport?)", name)
+				}
+			}
+		})
 	}
 }
 
@@ -224,8 +191,8 @@ func TestFleetChaosWorkerDeterminism(t *testing.T) {
 
 // TestFleetChaosSoakMQTT is the acceptance soak: a large MQTT fleet under
 // mixed recoverable chaos must complete every home with byte-identical
-// results and no frame lost for good — every slot reached the bus at least
-// once.
+// results and no frame lost for good — every home-day reached the bus at
+// least once.
 func TestFleetChaosSoakMQTT(t *testing.T) {
 	homes, days := 100, 2
 	if testing.Short() {
@@ -241,8 +208,8 @@ func TestFleetChaosSoakMQTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer broker.Close()
-	// Block-scale probabilities: each home publishes `days` frames per
-	// attempt, so per-frame rates are ~1000x the old per-slot ones.
+	// Day-frame probabilities: each home publishes `days` frames per
+	// attempt.
 	cfg := FaultConfig{Seed: 2023, Drop: 0.04, Duplicate: 0.06, Delay: 0.05,
 		Corrupt: 0.02, Truncate: 0.02, Disconnect: 0.01, MaxDelay: 100 * time.Microsecond}
 	got, err := RunFleet(jobs, FleetOptions{
@@ -272,7 +239,8 @@ func TestFleetChaosSoakMQTT(t *testing.T) {
 // brokenSource fails every read with the given error.
 type brokenSource struct{ err error }
 
-func (b *brokenSource) Next(*Slot) error { return b.err }
+func (b *brokenSource) NextBlock(*DayBlock) error { return b.err }
+func (b *brokenSource) Next(*Slot) error          { return b.err }
 
 // TestFleetQuarantineGracefulDegradation: a home that fails past its retry
 // budget is quarantined with its error recorded, while the rest of the
@@ -347,20 +315,21 @@ func equalHomeResult(a, b HomeResult) bool {
 		a.Sim.TotalKWh == b.Sim.TotalKWh && a.Sim.TotalCostUSD == b.Sim.TotalCostUSD
 }
 
-// outOfOrderSource emits a frame at the wrong position to trip the home's
-// sequence check mid-stream.
+// outOfOrderSource emits a day-block at the wrong position to trip the
+// home's sequence check mid-stream. The fleet engines pull day-blocks only;
+// Next is the embedded source's.
 type outOfOrderSource struct {
-	src Source
-	n   int
+	Source
+	n int
 }
 
-func (o *outOfOrderSource) Next(dst *Slot) error {
-	if err := o.src.Next(dst); err != nil {
+func (o *outOfOrderSource) NextBlock(dst *DayBlock) error {
+	if err := o.Source.NextBlock(dst); err != nil {
 		return err
 	}
 	o.n++
-	if o.n > 5 {
-		dst.Index += 3 // manufacture a gap
+	if o.n > 1 {
+		dst.Day++ // manufacture a gap
 	}
 	return nil
 }
@@ -368,13 +337,13 @@ func (o *outOfOrderSource) Next(dst *Slot) error {
 // TestRunFleetMidStreamFailure: an unsupervised fleet propagates a
 // mid-stream ingest failure (sequence gap) as a first-error-wins abort.
 func TestRunFleetMidStreamFailure(t *testing.T) {
-	base := chaosJobs(1, 1)[0]
+	base := chaosJobs(1, 3)[0]
 	job := Job{ID: base.ID, Open: func() (Source, *Home, error) {
 		src, h, err := base.Open()
 		if err != nil {
 			return nil, nil, err
 		}
-		return &outOfOrderSource{src: src}, h, nil
+		return &outOfOrderSource{Source: src}, h, nil
 	}}
 	_, err := RunFleet([]Job{job}, FleetOptions{Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), "stepper position") {
@@ -382,26 +351,27 @@ func TestRunFleetMidStreamFailure(t *testing.T) {
 	}
 }
 
-// flakyAtSource fails deterministically once it reaches a position.
+// flakyAtSource fails deterministically once it reaches a day. The fleet
+// engines pull day-blocks only; Next is the embedded source's.
 type flakyAtSource struct {
-	src       Source
-	day, slot int
+	Source
+	day int
 }
 
-func (f *flakyAtSource) Next(dst *Slot) error {
-	if err := f.src.Next(dst); err != nil {
+func (f *flakyAtSource) NextBlock(dst *DayBlock) error {
+	if err := f.Source.NextBlock(dst); err != nil {
 		return err
 	}
-	if dst.Day > f.day || (dst.Day == f.day && dst.Index >= f.slot) {
-		return fmt.Errorf("%w: link died at (%d,%d)", ErrInjectedFault, dst.Day, dst.Index)
+	if dst.Day >= f.day {
+		return fmt.Errorf("%w: link died at day %d", ErrInjectedFault, dst.Day)
 	}
 	return nil
 }
 
 // TestFleetRetryRestoresFromCheckpoint is the deterministic supervisor
-// lock: a home whose first attempt dies mid-day-1 must be retried from its
-// day-boundary checkpoint (one restore, two attempts) and finish with a
-// result byte-identical to an uninterrupted run.
+// lock: a home whose first attempt dies on its day-1 frame must be retried
+// from its day-boundary checkpoint (one restore, two attempts) and finish
+// with a result byte-identical to an uninterrupted run.
 func TestFleetRetryRestoresFromCheckpoint(t *testing.T) {
 	base := chaosJobs(1, 3)[0]
 	baseline, err := RunFleet([]Job{base}, FleetOptions{Workers: 1})
@@ -416,9 +386,9 @@ func TestFleetRetryRestoresFromCheckpoint(t *testing.T) {
 		}
 		calls++
 		if calls == 1 {
-			// First attempt dies partway through day 1, after the day-0
-			// checkpoint was persisted.
-			return &flakyAtSource{src: src, day: 1, slot: 100}, h, nil
+			// First attempt dies on day 1, after the day-0 checkpoint was
+			// persisted.
+			return &flakyAtSource{Source: src, day: 1}, h, nil
 		}
 		return src, h, nil
 	}}
@@ -490,7 +460,6 @@ func TestFleetMonitorDrainLostSentinel(t *testing.T) {
 	defer broker.Close()
 	opts := FleetOptions{
 		DrainTimeout: 300 * time.Millisecond,
-		DrainPoll:    5 * time.Millisecond,
 		QuiescePoll:  10 * time.Millisecond,
 	}.withDefaults()
 	m, err := newFleetMonitor(broker.Addr(), opts)
@@ -534,8 +503,8 @@ func TestPipeReceiveTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer broker.Close()
-	// A source that delivers one frame and then blocks forever.
-	stall := &stallingSource{src: traceSrc(t, 1), after: 1, release: make(chan struct{})}
+	// A source that delivers one day-block and then blocks forever.
+	stall := &stallingSource{src: traceSrc(t, 2), after: 1, release: make(chan struct{})}
 	pipe, err := OpenPipeOptions(broker.Addr(), SensorTopic("slow"), stall, PipeOptions{
 		ReceiveTimeout: 150 * time.Millisecond,
 	})
@@ -546,28 +515,28 @@ func TestPipeReceiveTimeout(t *testing.T) {
 		close(stall.release)
 		pipe.Close()
 	}()
-	var s Slot
-	if err := pipe.Next(&s); err != nil {
+	var blk DayBlock
+	if err := pipe.NextBlock(&blk); err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.Next(&s); !errors.Is(err, ErrReceiveTimeout) {
+	if err := pipe.NextBlock(&blk); !errors.Is(err, ErrReceiveTimeout) {
 		t.Fatalf("err = %v, want receive timeout", err)
 	}
 }
 
-// stallingSource delivers `after` frames then blocks until released.
+// stallingSource delivers `after` day-blocks then blocks until released.
 type stallingSource struct {
-	src     Source
+	src     BlockSource
 	after   int
 	n       int
 	release chan struct{}
 }
 
-func (s *stallingSource) Next(dst *Slot) error {
+func (s *stallingSource) NextBlock(dst *DayBlock) error {
 	if s.n >= s.after {
 		<-s.release
 		return io.EOF
 	}
 	s.n++
-	return s.src.Next(dst)
+	return s.src.NextBlock(dst)
 }

@@ -9,8 +9,9 @@
 //
 // The layer stack:
 //
-//	Source    → per-slot frames (aras.Generator or a recorded Trace)
-//	Injector  → applies an attack.Plan to the frames in flight
+//	Source    → day-blocks (aras.Generator or a recorded Trace); its
+//	            per-slot frames are the oracle the block path is locked to
+//	Injector  → applies an attack.Plan to the blocks in flight
 //	Home      → hvac.Sim stepper + adm.Detector per home
 //	Fleet     → N homes over a worker pool, optionally via the MQTT broker
 package stream

@@ -20,9 +20,9 @@ type FaultClass int
 
 const (
 	FaultNone FaultClass = iota
-	// FaultDrop silently loses a frame; the receiver sees a gap in the
-	// (day, slot) sequence — or a short stream, when the tail was lost —
-	// and the home retries from its checkpoint.
+	// FaultDrop silently loses a frame; the receiver sees a gap in the day
+	// sequence — or a short stream, when the tail was lost — and the home
+	// retries from its checkpoint.
 	FaultDrop
 	// FaultDuplicate delivers a frame twice; the pipe's dedup absorbs it.
 	FaultDuplicate
@@ -33,7 +33,7 @@ const (
 	// read errors outright, on the bus the frame arrives flagged as
 	// failing its integrity check and errors at the receiver.
 	FaultCorrupt
-	// FaultTruncate cuts the frame's reading vectors short; the frame
+	// FaultTruncate slices a column pair off the day frame; the frame
 	// decodes but fails the home's structural check.
 	FaultTruncate
 	// FaultDisconnect force-closes the publishing connection mid-stream.
@@ -62,13 +62,10 @@ func (c FaultClass) String() string {
 }
 
 // FaultConfig is the seeded chaos schedule for a fleet: per-frame fault
-// probabilities applied to every home's transport. A frame is whatever unit
-// the transport moves — a per-slot envelope on the LegacyJSON path, a whole
-// binary day-block on the default path — so probabilities are sized to the
-// granularity the run uses. The schedule is deterministic per
-// (home, attempt) on the slot path and per (home, attempt, day) on the
-// block path, and independent of worker count and wall-clock timing, so a
-// chaos run is exactly reproducible from its seed.
+// probabilities applied to every home's transport, where a frame is one
+// binary day-block — one home-day. The schedule is deterministic per
+// (home, attempt, day) and independent of worker count and wall-clock
+// timing, so a chaos run is exactly reproducible from its seed.
 type FaultConfig struct {
 	// Seed roots every home's fault schedule.
 	Seed uint64
@@ -111,18 +108,15 @@ func (c *FaultConfig) Plan(homeID string, attempt int) *FaultPlan {
 	h := fnv.New64a()
 	h.Write([]byte(homeID))
 	seed := c.Seed ^ h.Sum64() ^ (uint64(attempt+1) * 0x9e3779b97f4a7c15)
-	return &FaultPlan{cfg: c, seed: seed, rng: rng.New(seed)}
+	return &FaultPlan{cfg: c, seed: seed}
 }
 
-// FaultPlan is one transport attempt's seeded fault stream. Roll is
-// consulted once per published slot frame, in stream order, so the per-slot
-// sequence depends only on (config, home, attempt). RollDay keys each
-// day-block's fault by the absolute day instead, so the block schedule is
-// additionally independent of where in the stream an attempt resumed.
+// FaultPlan is one transport attempt's seeded fault schedule. RollDay keys
+// each day-block's fault by (home, attempt, day), so the schedule is
+// independent of call order and of where in the stream an attempt resumed.
 type FaultPlan struct {
 	cfg  *FaultConfig
 	seed uint64
-	rng  *rng.Source
 }
 
 // classify maps one uniform draw to a fault class by the config's
@@ -157,16 +151,6 @@ func (p *FaultPlan) delayIn(r *rng.Source) time.Duration {
 	return time.Duration(r.Float64() * float64(max))
 }
 
-// Roll draws the fault for the next slot frame.
-func (p *FaultPlan) Roll() FaultClass {
-	return p.classify(p.rng.Float64())
-}
-
-// DelayFor draws a delayed slot frame's stall duration.
-func (p *FaultPlan) DelayFor() time.Duration {
-	return p.delayIn(p.rng)
-}
-
 // RollDay draws the fault for the day-block frame covering the given
 // absolute day, plus the stall duration when the class is FaultDelay. The
 // draw is keyed by (home, attempt, day) — not by call order — so a retry
@@ -182,122 +166,51 @@ func (p *FaultPlan) RollDay(day int) (FaultClass, time.Duration) {
 	return class, stall
 }
 
-// faultSource wraps a Source with the chaos schedule for the direct
-// (brokerless) path, manufacturing the same observable failures the MQTT
-// transport would: dropped frames surface as sequence gaps (or, when the
-// tail is lost, as a short-stream error at EOF), corruption as decode
-// errors, disconnects as a dead stream. Duplicates re-deliver the previous
-// frame (the direct path has no dedup layer, so the home's ordering check
-// trips and the supervisor retries).
+// faultSource wraps a day-block source with the chaos schedule for the
+// direct (brokerless) path, manufacturing the same observable failures the
+// MQTT transport would: a dropped day frame surfaces as a sequence gap (or,
+// when the tail is lost, as a short-stream error at EOF), corruption as a
+// decode error, a disconnect as a dead stream. Duplicates re-deliver the
+// previous day (the direct path has no dedup layer, so the home's ordering
+// check trips and the supervisor retries).
 type faultSource struct {
-	src   Source
+	src   BlockSource
 	plan  *FaultPlan
 	clock Clock
 
 	dup  bool // re-deliver prev on the next call
-	prev Slot
+	prev DayBlock
 	dead bool
 	gap  bool // a frame was dropped; EOF before it surfaces is a tail loss
 }
 
-// NewFaultSource wraps a source with a chaos schedule on the direct (no
-// broker) path — the constructor the fleet service shares with RunFleet's
-// internal wiring. When src can emit day-blocks the wrapper can too, with
-// faults applied per block frame. A nil plan returns src unchanged; a nil
-// clock waits on real time.
-func NewFaultSource(src Source, plan *FaultPlan, clock Clock) Source {
+// NewFaultSource wraps a day-block source with a chaos schedule on the
+// direct (no broker) path — the constructor the fleet service shares with
+// RunFleet's internal wiring. A nil plan returns src unchanged; a nil clock
+// waits on real time.
+func NewFaultSource(src BlockSource, plan *FaultPlan, clock Clock) BlockSource {
 	if plan == nil {
 		return src
 	}
-	fs := faultSource{src: src, plan: plan, clock: clockOrReal(clock)}
-	if _, ok := src.(BlockSource); ok {
-		return &blockFaultSource{faultSource: fs}
-	}
-	return &fs
+	return &faultSource{src: src, plan: plan, clock: clockOrReal(clock)}
 }
 
-func newFaultSource(src Source, plan *FaultPlan) *faultSource {
-	return &faultSource{src: src, plan: plan, clock: RealClock}
-}
-
-// Next implements Source under the fault schedule.
-func (f *faultSource) Next(dst *Slot) error {
+// NextBlock implements BlockSource under the day-keyed fault schedule.
+func (f *faultSource) NextBlock(dst *DayBlock) error {
 	if f.dead {
 		return fmt.Errorf("%w: connection force-closed", ErrInjectedFault)
 	}
 	if f.dup {
 		f.dup = false
-		copySlot(dst, &f.prev)
+		copyBlock(dst, &f.prev)
 		return nil
 	}
 	for {
-		if err := f.src.Next(dst); err != nil {
+		if err := f.src.NextBlock(dst); err != nil {
 			if err == io.EOF && f.gap {
 				// The dropped frame was never followed by a delivered one, so
 				// no sequence check can catch it — the stream just ends
 				// short. Error instead of silently completing with lost data.
-				return fmt.Errorf("%w: stream ended after a dropped frame", ErrInjectedFault)
-			}
-			return err
-		}
-		switch f.plan.Roll() {
-		case FaultDrop:
-			f.gap = true
-			continue // lose the frame: the consumer sees a gap
-		case FaultDuplicate:
-			copySlot(&f.prev, dst)
-			f.dup = true
-		case FaultDelay:
-			f.clock.Sleep(f.plan.DelayFor())
-		case FaultCorrupt:
-			return fmt.Errorf("%w: corrupted frame (%d,%d)", ErrInjectedFault, dst.Day, dst.Index)
-		case FaultTruncate:
-			if len(dst.Reported) > 0 {
-				dst.Reported = dst.Reported[:len(dst.Reported)-1]
-			} else {
-				dst.True = dst.True[:0]
-			}
-		case FaultDisconnect:
-			f.dead = true
-			return fmt.Errorf("%w: connection force-closed at frame (%d,%d)", ErrInjectedFault, dst.Day, dst.Index)
-		}
-		return nil
-	}
-}
-
-// SeekDay forwards to the wrapped source so a faulty attempt can still
-// resume from a checkpoint.
-func (f *faultSource) SeekDay(day int) error {
-	if s, ok := f.src.(DaySeeker); ok {
-		return s.SeekDay(day)
-	}
-	return fmt.Errorf("stream: wrapped source cannot seek")
-}
-
-// blockFaultSource extends the direct-path chaos wrapper to day-block
-// granularity: one RollDay-keyed fault per home-day frame, exercising the
-// same recovery machinery a slot fault would — at 1/1440th of the frame
-// rate. Only constructed over sources that implement BlockSource.
-type blockFaultSource struct {
-	faultSource
-	bdup  bool // re-deliver bprev on the next call
-	bprev DayBlock
-}
-
-// NextBlock implements BlockSource under the day-keyed fault schedule.
-func (f *blockFaultSource) NextBlock(dst *DayBlock) error {
-	if f.dead {
-		return fmt.Errorf("%w: connection force-closed", ErrInjectedFault)
-	}
-	if f.bdup {
-		f.bdup = false
-		copyBlock(dst, &f.bprev)
-		return nil
-	}
-	bsrc := f.src.(BlockSource)
-	for {
-		if err := bsrc.NextBlock(dst); err != nil {
-			if err == io.EOF && f.gap {
 				return fmt.Errorf("%w: stream ended after a dropped day frame", ErrInjectedFault)
 			}
 			return err
@@ -308,8 +221,8 @@ func (f *blockFaultSource) NextBlock(dst *DayBlock) error {
 			f.gap = true
 			continue // lose the whole day frame
 		case FaultDuplicate:
-			copyBlock(&f.bprev, dst)
-			f.bdup = true
+			copyBlock(&f.prev, dst)
+			f.dup = true
 		case FaultDelay:
 			f.clock.Sleep(stall)
 		case FaultCorrupt:
@@ -324,17 +237,13 @@ func (f *blockFaultSource) NextBlock(dst *DayBlock) error {
 	}
 }
 
-// copySlot deep-copies a frame into dst, reusing dst's backing storage.
-func copySlot(dst, src *Slot) {
-	dst.ensure(len(src.True), len(src.TrueAppliance))
-	dst.Home, dst.Day, dst.Index = src.Home, src.Day, src.Index
-	dst.OutdoorTempF, dst.OutdoorCO2PPM = src.OutdoorTempF, src.OutdoorCO2PPM
-	copy(dst.True, src.True)
-	copy(dst.TrueAppliance, src.TrueAppliance)
-	dst.Reported = dst.Reported[:len(src.Reported)]
-	copy(dst.Reported, src.Reported)
-	dst.ReportedAppliance = dst.ReportedAppliance[:len(src.ReportedAppliance)]
-	copy(dst.ReportedAppliance, src.ReportedAppliance)
+// SeekDay forwards to the wrapped source so a faulty attempt can still
+// resume from a checkpoint.
+func (f *faultSource) SeekDay(day int) error {
+	if s, ok := f.src.(DaySeeker); ok {
+		return s.SeekDay(day)
+	}
+	return fmt.Errorf("stream: wrapped source cannot seek")
 }
 
 // copyBlock deep-copies a day-block into dst, reusing dst's backing storage.

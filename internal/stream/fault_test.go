@@ -3,11 +3,13 @@ package stream
 import (
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/home"
+	"github.com/acyd-lab/shatter/internal/hvac"
 )
 
 // traceSrc builds a small deterministic source for fault-layer tests.
@@ -22,8 +24,8 @@ func traceSrc(t *testing.T, days int) *TraceSource {
 }
 
 // TestFaultPlanDeterminism: the fault schedule is a pure function of
-// (config, home, attempt) — two plans for the same coordinates roll the
-// same sequence, and different homes or attempts diverge.
+// (config, home, attempt, day) — two plans for the same coordinates roll
+// the same sequence, and different homes or attempts diverge.
 func TestFaultPlanDeterminism(t *testing.T) {
 	cfg := &FaultConfig{Seed: 42, Drop: 0.1, Duplicate: 0.1, Delay: 0.1, Corrupt: 0.1}
 	roll := func(home string, attempt, n int) []FaultClass {
@@ -33,7 +35,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 		}
 		out := make([]FaultClass, n)
 		for i := range out {
-			out[i] = p.Roll()
+			out[i], _ = p.RollDay(i)
 		}
 		return out
 	}
@@ -98,81 +100,137 @@ func plan1(t *testing.T, set func(*FaultConfig)) *FaultPlan {
 }
 
 // TestFaultSourceClasses drives each fault class through the direct-path
-// wrapper and checks the manufactured failure mode.
+// day-block wrapper and checks the manufactured failure mode.
 func TestFaultSourceClasses(t *testing.T) {
 	t.Run("drop", func(t *testing.T) {
-		// Dropping every frame consumes the stream to its end — but losing
-		// the tail must never complete the home silently short, so EOF after
-		// an unsurfaced drop is an injected-fault error.
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Drop = 1 }))
-		var s Slot
-		if err := fs.Next(&s); !errors.Is(err, ErrInjectedFault) {
+		// Dropping every day frame consumes the stream to its end — but
+		// losing the tail must never complete the home silently short, so
+		// EOF after an unsurfaced drop is an injected-fault error.
+		fs := NewFaultSource(traceSrc(t, 2), plan1(t, func(c *FaultConfig) { c.Drop = 1 }), nil)
+		var b DayBlock
+		if err := fs.NextBlock(&b); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("err = %v, want injected fault (tail dropped)", err)
 		}
 	})
+	t.Run("drop-final-day", func(t *testing.T) {
+		// Only the last day is lost: every delivered frame is in sequence,
+		// so the loss surfaces as an error at EOF instead of a gap.
+		plan := dayPlan(t, func(c *FaultConfig) { c.Drop = 0.5 }, FaultNone, FaultDrop)
+		fs := NewFaultSource(traceSrc(t, 2), plan, nil)
+		var b DayBlock
+		if err := fs.NextBlock(&b); err != nil || b.Day != 0 {
+			t.Fatalf("first frame: day %d, err %v; want day 0", b.Day, err)
+		}
+		if err := fs.NextBlock(&b); !errors.Is(err, ErrInjectedFault) {
+			t.Fatalf("err = %v, want injected fault (final day dropped)", err)
+		}
+	})
 	t.Run("duplicate", func(t *testing.T) {
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Duplicate = 1 }))
-		var a, b, c Slot
-		if err := fs.Next(&a); err != nil {
-			t.Fatal(err)
+		fs := NewFaultSource(traceSrc(t, 2), plan1(t, func(c *FaultConfig) { c.Duplicate = 1 }), nil)
+		var a, b, c DayBlock
+		for _, dst := range []*DayBlock{&a, &b, &c} {
+			if err := fs.NextBlock(dst); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := fs.Next(&b); err != nil {
-			t.Fatal(err)
+		if a.Day != 0 || b.Day != 0 || c.Day != 1 {
+			t.Fatalf("days %d,%d,%d, want 0,0,1", a.Day, b.Day, c.Day)
 		}
-		if err := fs.Next(&c); err != nil {
-			t.Fatal(err)
-		}
-		if a.Index != 0 || b.Index != 0 || c.Index != 1 {
-			t.Fatalf("positions %d,%d,%d, want 0,0,1", a.Index, b.Index, c.Index)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatal("duplicated day frame differs from the original")
 		}
 	})
 	t.Run("corrupt", func(t *testing.T) {
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Corrupt = 1 }))
-		var s Slot
-		if err := fs.Next(&s); !errors.Is(err, ErrInjectedFault) {
+		fs := NewFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Corrupt = 1 }), nil)
+		var b DayBlock
+		if err := fs.NextBlock(&b); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("err = %v, want injected fault", err)
 		}
 	})
 	t.Run("truncate", func(t *testing.T) {
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Truncate = 1 }))
-		var s Slot
-		if err := fs.Next(&s); err != nil {
+		fs := NewFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Truncate = 1 }), nil)
+		var b DayBlock
+		if err := fs.NextBlock(&b); err != nil {
 			t.Fatal(err)
 		}
-		occ := len(home.MustHouse("A").Occupants)
-		if len(s.Reported) != occ-1 {
-			t.Fatalf("reported vector %d long, want %d", len(s.Reported), occ-1)
+		house := home.MustHouse("A")
+		occ, apps := len(house.Occupants), len(house.Appliances)
+		if got := len(b.TrueZone) + len(b.TrueAppliance); got != occ+apps-1 {
+			t.Fatalf("block carries %d columns, want %d (one sliced off)", got, occ+apps-1)
+		}
+		h, err := NewHome(HomeConfig{ID: "A", House: house, Params: hvac.DefaultParams(), Pricing: hvac.DefaultPricing()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.IngestDay(&b); err == nil {
+			t.Fatal("home ingested a truncated day frame")
 		}
 	})
 	t.Run("disconnect", func(t *testing.T) {
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Disconnect = 1 }))
-		var s Slot
-		if err := fs.Next(&s); !errors.Is(err, ErrInjectedFault) {
+		fs := NewFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Disconnect = 1 }), nil)
+		var b DayBlock
+		if err := fs.NextBlock(&b); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("err = %v, want injected fault", err)
 		}
 		// The connection stays dead.
-		if err := fs.Next(&s); !errors.Is(err, ErrInjectedFault) {
+		if err := fs.NextBlock(&b); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("second read: %v, want injected fault", err)
 		}
 	})
 	t.Run("delay", func(t *testing.T) {
-		// Delays perturb latency only; the frame arrives intact and a home
-		// fed through a delay-only source finishes normally.
-		fs := newFaultSource(traceSrc(t, 1), plan1(t, func(c *FaultConfig) { c.Delay = 0.01 }))
-		var s Slot
+		// Delays perturb latency only: every day frame arrives intact, in
+		// order, and the clock served each stall.
+		clock := NewVirtualClock()
+		const days = 3
+		fs := NewFaultSource(traceSrc(t, days), plan1(t, func(c *FaultConfig) { c.Delay = 1 }), clock)
+		want := traceSrc(t, days)
+		var got, ref DayBlock
 		n := 0
 		for {
-			if err := fs.Next(&s); err == io.EOF {
+			if err := fs.NextBlock(&got); err == io.EOF {
 				break
 			} else if err != nil {
 				t.Fatal(err)
 			}
+			if err := want.NextBlock(&ref); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("day %d altered by a delay fault", got.Day)
+			}
 			n++
 		}
-		if n != aras.SlotsPerDay {
-			t.Fatalf("delivered %d frames, want %d", n, aras.SlotsPerDay)
+		if n != days {
+			t.Fatalf("delivered %d day frames, want %d", n, days)
+		}
+		if clock.Advanced() == 0 {
+			t.Fatal("delay faults served no stall")
 		}
 	})
+}
+
+// dayPlan searches seeds for a plan whose first days roll exactly the given
+// classes — a deterministic fixture for faults that must land on one day.
+func dayPlan(t *testing.T, set func(*FaultConfig), classes ...FaultClass) *FaultPlan {
+	t.Helper()
+	cfg := &FaultConfig{CleanAttempt: -1}
+	set(cfg)
+	for seed := uint64(1); seed < 1000; seed++ {
+		cfg.Seed = seed
+		p := cfg.Plan("h", 0)
+		match := true
+		for d, want := range classes {
+			if c, _ := p.RollDay(d); c != want {
+				match = false
+				break
+			}
+		}
+		if match {
+			return p
+		}
+	}
+	t.Fatalf("no seed below 1000 rolls %v", classes)
+	return nil
 }
 
 // TestFaultPlanRollDayKeying: the block schedule is keyed by
@@ -245,15 +303,19 @@ func TestFaultPlanRollDayKeying(t *testing.T) {
 // TestFaultSourceSeekDay: the wrapper forwards seeks so faulty retry
 // attempts can still resume from a checkpoint.
 func TestFaultSourceSeekDay(t *testing.T) {
-	fs := newFaultSource(traceSrc(t, 3), plan1(t, func(c *FaultConfig) { c.Delay = 0.001 }))
-	if err := fs.SeekDay(2); err != nil {
+	fs := NewFaultSource(traceSrc(t, 3), plan1(t, func(c *FaultConfig) { c.Delay = 0.001 }), NewVirtualClock())
+	seeker, ok := fs.(DaySeeker)
+	if !ok {
+		t.Fatal("fault wrapper cannot seek")
+	}
+	if err := seeker.SeekDay(2); err != nil {
 		t.Fatal(err)
 	}
-	var s Slot
-	if err := fs.Next(&s); err != nil {
+	var b DayBlock
+	if err := fs.NextBlock(&b); err != nil {
 		t.Fatal(err)
 	}
-	if s.Day != 2 || s.Index != 0 {
-		t.Fatalf("post-seek frame at (%d,%d), want (2,0)", s.Day, s.Index)
+	if b.Day != 2 {
+		t.Fatalf("post-seek frame for day %d, want day 2", b.Day)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/mqtt"
 	"github.com/acyd-lab/shatter/internal/pool"
 )
@@ -74,15 +73,6 @@ type FleetOptions struct {
 	// compute-bound while producing byte-identical results.
 	Clock Clock
 
-	// LegacyJSON forces per-slot JSON framing. By default a fleet moves
-	// whole day-blocks — one binary wire frame per home-day on the bus,
-	// IngestDay on the consumer — with or without chaos: block-mode faults
-	// perturb whole day frames on the (home, attempt, day)-keyed schedule.
-	// This flag pins the per-slot JSON path (with its slot-order fault
-	// schedule) for debugging and wire-level comparison; results are
-	// bit-identical either way.
-	LegacyJSON bool
-
 	// Dial configures every fleet broker connection (dial deadline, redial
 	// attempts with exponential backoff, per-frame write deadline).
 	Dial mqtt.DialOptions
@@ -96,9 +86,6 @@ type FleetOptions struct {
 	// DrainTimeout bounds the monitor's wait for the fleet's end-of-stream
 	// sentinels; 0 defaults to 10s.
 	DrainTimeout time.Duration
-	// DrainPoll is retained for compatibility; the monitor drain is
-	// event-driven now and no longer polls for sentinels.
-	DrainPoll time.Duration
 	// QuiescePoll is the bus stillness window the monitor requires before
 	// giving up on lost sentinels; 0 defaults to 20ms. The stillness wait is
 	// bounded by a second DrainTimeout.
@@ -123,9 +110,6 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 10 * time.Second
-	}
-	if o.DrainPoll <= 0 {
-		o.DrainPoll = 5 * time.Millisecond
 	}
 	if o.QuiescePoll <= 0 {
 		o.QuiescePoll = 20 * time.Millisecond
@@ -189,11 +173,10 @@ type FleetStats struct {
 	HomesPerSec  float64       `json:"homes_per_sec"`
 	EventsPerSec float64       `json:"events_per_sec"`
 	// BusFrames counts the data frames the fleet-wide home/+/sensor monitor
-	// saw (zero without a broker). On the default block transport each
-	// home-day is one binary frame, so a clean fleet tallies its Days here
-	// and a chaos fleet an at-least-once count of Days (retried attempts
-	// republish); under LegacyJSON every slot is its own JSON frame and the
-	// tally is in Slots.
+	// saw (zero without a broker). Each home-day is one binary frame, so a
+	// clean fleet tallies its Days here and a chaos fleet an at-least-once
+	// count of Days (retried attempts republish, and a corrupt marker stands
+	// in for the day frame it replaced).
 	BusFrames int64 `json:"bus_frames"`
 	// Retries counts extra attempts across the fleet; Restores counts the
 	// attempts that resumed from a checkpoint; Quarantined counts homes
@@ -385,7 +368,7 @@ func runAttempt(job Job, opts FleetOptions, attempt int) (HomeResult, attemptInf
 		return HomeResult{}, info, err
 	}
 	// The source may hold real resources (files, broker connections); every
-	// exit path must release them, including a failed OpenPipe below.
+	// exit path must release them, including a failed OpenPipeOptions below.
 	defer func() { closeSource(src) }()
 
 	if opts.CheckpointDir != "" {
@@ -417,13 +400,11 @@ func runAttempt(job Job, opts FleetOptions, attempt int) (HomeResult, attemptInf
 		// save overwrites the bad file.
 	}
 
-	// Day-block transport is the default with or without chaos: block-mode
-	// faults perturb whole day frames on the (home, attempt, day)-keyed
-	// schedule, so a faulty attempt and its clean retries publish the same
-	// frame unit and the fleet's bus accounting stays consistent.
-	useBlocks := !opts.LegacyJSON
+	// Faults perturb whole day frames on the (home, attempt, day)-keyed
+	// schedule — on the publishing side of the pipe, or in a wrapper around
+	// the source on the direct path.
 	plan := opts.Chaos.Plan(job.ID, attempt)
-	var s Source = src
+	var drive BlockSource
 	if opts.Broker != "" {
 		pipe, perr := OpenPipeOptions(opts.Broker, SensorTopic(job.ID), src, PipeOptions{
 			Dial:           opts.Dial,
@@ -431,73 +412,30 @@ func runAttempt(job Job, opts FleetOptions, attempt int) (HomeResult, attemptInf
 			ReceiveTimeout: opts.ReceiveTimeout,
 			Faults:         plan,
 			Epoch:          attempt,
-			Blocks:         useBlocks,
 			Clock:          opts.Clock,
 		})
 		if perr != nil {
 			return HomeResult{}, info, perr
 		}
 		defer pipe.Close()
-		if pipe.Blocks() {
-			if err := driveBlocks(pipe.NextBlock, home, opts, &info); err != nil {
-				return HomeResult{}, info, err
-			}
-			res, err := home.Close()
-			return res, info, err
-		}
-		s = pipe
+		drive = pipe
 	} else {
-		if plan != nil {
-			s = NewFaultSource(src, plan, opts.Clock)
-		}
-		if useBlocks {
-			if bsrc, ok := s.(BlockSource); ok {
-				if err := driveBlocks(bsrc.NextBlock, home, opts, &info); err != nil {
-					return HomeResult{}, info, err
-				}
-				res, err := home.Close()
-				return res, info, err
-			}
-		}
+		drive = NewFaultSource(src, plan, opts.Clock)
 	}
-
-	var slot Slot
-	for {
-		if err := s.Next(&slot); err == io.EOF {
-			break
-		} else if err != nil {
-			return HomeResult{}, info, err
-		}
-		if _, err := home.Ingest(&slot); err != nil {
-			return HomeResult{}, info, err
-		}
-		if slot.Index == aras.SlotsPerDay-1 {
-			info.days = slot.Day + 1
-		}
-		if opts.CheckpointDir != "" && slot.Index == aras.SlotsPerDay-1 {
-			if done := slot.Day + 1; done%opts.CheckpointEvery == 0 {
-				ck, cerr := home.Checkpoint()
-				if cerr != nil {
-					return HomeResult{}, info, cerr
-				}
-				if serr := saveFleetCheckpoint(opts, ck); serr != nil {
-					return HomeResult{}, info, serr
-				}
-				info.checkpointDay = done
-			}
-		}
+	if err := driveBlocks(drive, home, opts, &info); err != nil {
+		return HomeResult{}, info, err
 	}
 	res, err := home.Close()
 	return res, info, err
 }
 
-// driveBlocks drives a home at day-block granularity — the clean-run fast
-// path shared by the direct and broker transports. Checkpoint cadence and
-// day progress match the per-slot loop's day-boundary behaviour exactly.
-func driveBlocks(next func(*DayBlock) error, home *Home, opts FleetOptions, info *attemptInfo) error {
+// driveBlocks drives a home one day-block at a time to end-of-stream — the
+// drive loop shared by the direct and broker transports — checkpointing at
+// the configured day-boundary cadence.
+func driveBlocks(src BlockSource, home *Home, opts FleetOptions, info *attemptInfo) error {
 	var blk DayBlock
 	for {
-		if err := next(&blk); err == io.EOF {
+		if err := src.NextBlock(&blk); err == io.EOF {
 			return nil
 		} else if err != nil {
 			return err

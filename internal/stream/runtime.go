@@ -149,7 +149,9 @@ func (h *Home) SetOnVerdict(fn func(adm.Verdict)) error {
 // action event for the slot (its Demands slice is controller scratch, valid
 // until the next Ingest). Frames must arrive in stream order; the runtime
 // cross-checks the frame's (day, slot) against the stepper's position so
-// transport bugs surface as errors, not silent divergence.
+// transport bugs surface as errors, not silent divergence. The fleet
+// engines drive IngestDay; Ingest is the per-slot semantic model the
+// equivalence tests lock IngestDay against.
 func (h *Home) Ingest(s *Slot) (Action, error) {
 	if h.closed {
 		return Action{}, errors.New("stream: Ingest after Close")

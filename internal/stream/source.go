@@ -7,11 +7,14 @@ import (
 	"github.com/acyd-lab/shatter/internal/aras"
 )
 
-// Source produces a home's slot frames in order: day-major, then minute
-// 0..aras.SlotsPerDay-1. Next fills dst (reusing its backing storage where
-// possible) and returns io.EOF at end of stream. Sources are not safe for
-// concurrent use.
+// Source produces a home's stream in order. Both fleet engines pull whole
+// home-days through the embedded BlockSource; Next emits the same stream
+// one slot frame at a time (day-major, then minute 0..aras.SlotsPerDay-1)
+// and is the per-slot oracle the block path is locked against. Both fill
+// dst (reusing its backing storage where possible) and return io.EOF at end
+// of stream. Sources are not safe for concurrent use.
 type Source interface {
+	BlockSource
 	Next(dst *Slot) error
 }
 
