@@ -22,7 +22,7 @@ type fixture struct {
 	ctrl    hvac.Controller
 }
 
-func newFixture(t *testing.T, houseName string, days int) *fixture {
+func newFixture(t testing.TB, houseName string, days int) *fixture {
 	t.Helper()
 	h := home.MustHouse(houseName)
 	tr, err := aras.Generate(h, aras.GeneratorConfig{Days: days, Seed: 777})

@@ -46,12 +46,35 @@ type Planner struct {
 }
 
 // planScratch is one planning worker's reusable state: the DP workspace and
-// the local cost-table buffer (used when no memoized surface is injected).
-// Scratch never influences results, only allocation counts, so sharing one
-// per worker preserves the Workers=1 ≡ Workers=N determinism contract.
+// the local cost-surface scratch (used when no memoized surface is
+// injected). Scratch never influences results, only allocation counts, so
+// sharing one per worker preserves the Workers=1 ≡ Workers=N determinism
+// contract.
 type planScratch struct {
 	ws   solver.Workspace
-	ctbl []float64
+	surf surfaceScratch
+}
+
+// surfaceScratch is the reusable state of one occupant-day cost-surface
+// tabulation: the (zone, slot) table, and the cost terms of the zone row
+// being filled with the activity each was built for.
+type surfaceScratch struct {
+	tbl   []float64
+	acts  []home.ActivityID
+	terms []hvac.OccupantTerm
+}
+
+// term returns the index of the current row's cost term for act, building
+// the term on first use.
+func (sc *surfaceScratch) term(cost *hvac.CostModel, occupant int, z home.ZoneID, act home.ActivityID) int {
+	for i, a := range sc.acts {
+		if a == act {
+			return i
+		}
+	}
+	sc.acts = append(sc.acts, act)
+	sc.terms = append(sc.terms, cost.OccupantTerm(occupant, z, act))
+	return len(sc.terms) - 1
 }
 
 // ErrNeedModel is returned when a strategy requires an ADM estimate.
@@ -92,48 +115,53 @@ func (pl *Planner) costFor(day, occupant int) solver.CostFn {
 	}
 }
 
-// costTableFn precomputes the occupant-day cost surface of costFor into a
-// (zone, slot)-indexed table and returns a table-backed CostFn plus the
-// (possibly grown) buffer for reuse. The schedule optimisers query the
-// surrogate thousands of times per occupant-day with the same (slot, zone)
-// arguments; tabulating the ≤ house-zones × SlotsPerDay distinct values once
-// removes the repeated HVAC cost-model evaluations from the hot path.
-func (pl *Planner) costTableFn(day, occupant int, tbl []float64) (solver.CostFn, []float64) {
+// costTableFn tabulates the occupant-day cost surface of costFor into the
+// scratch's (zone, slot)-indexed table and returns a table-backed CostFn.
+// The schedule optimisers query the surrogate thousands of times per
+// occupant-day with the same (slot, zone) arguments; tabulating the
+// ≤ house-zones × SlotsPerDay distinct values once removes the repeated
+// HVAC cost-model evaluations from the hot path. Each zone row builds one
+// cost term for the zone's most intense activity and one per distinct
+// activity the occupant really conducts there, then evaluates the row slot
+// by slot.
+func (pl *Planner) costTableFn(day, occupant int, sc *surfaceScratch) solver.CostFn {
 	house := pl.Trace.House
 	nz := len(house.Zones)
 	n := nz * aras.SlotsPerDay
-	if cap(tbl) < n {
-		tbl = make([]float64, n)
+	if cap(sc.tbl) < n {
+		sc.tbl = make([]float64, n)
 	}
-	tbl = tbl[:n]
-	w := pl.Trace.Weather[day]
-	dd := pl.Trace.Days[day]
+	tbl := sc.tbl[:n]
+	sc.tbl = tbl
+	temp := pl.Trace.Weather[day].TempF
+	actualZone := pl.Trace.Days[day].Zone[occupant]
+	actualAct := pl.Trace.Days[day].Act[occupant]
 	for z := home.ZoneID(0); int(z) < nz; z++ {
 		row := tbl[int(z)*aras.SlotsPerDay : (int(z)+1)*aras.SlotsPerDay]
 		if !z.Conditioned() {
-			for t := range row {
-				row[t] = 0
-			}
+			clear(row)
 			continue
 		}
-		intense := house.MostIntenseActivity(z)
+		sc.acts, sc.terms = sc.acts[:0], sc.terms[:0]
+		intense := sc.term(pl.Cost, occupant, z, house.MostIntenseActivity(z))
 		for t := range row {
-			act := intense
-			if dd.Zone[occupant][t] == z {
-				act = dd.Act[occupant][t]
+			i := intense
+			if actualZone[t] == z {
+				i = sc.term(pl.Cost, occupant, z, actualAct[t])
 			}
-			row[t] = pl.Cost.OccupantSlotCost(occupant, z, act, t, w.TempF[t])
+			row[t] = sc.terms[i].Cost(t, temp[t])
 		}
 	}
-	return CostFnFromTable(tbl), tbl
+	return CostFnFromTable(tbl)
 }
 
 // CostTable returns the freshly allocated (zone, slot)-indexed surrogate
 // cost surface for one occupant-day — the memoizable artifact behind
 // CostSurface.
 func (pl *Planner) CostTable(day, occupant int) []float64 {
-	_, tbl := pl.costTableFn(day, occupant, nil)
-	return tbl
+	var sc surfaceScratch
+	pl.costTableFn(day, occupant, &sc)
+	return sc.tbl
 }
 
 // CostFnFromTable wraps a CostTable surface as a solver.CostFn. The zone
@@ -150,17 +178,15 @@ func CostFnFromTable(tbl []float64) solver.CostFn {
 }
 
 // surfaceFor resolves the occupant-day cost surrogate: the injected
-// memoized surface when it covers the planner's trace, otherwise a locally
-// tabulated one (tbl is the reusable local buffer).
-func (pl *Planner) surfaceFor(day, occupant int, tbl *[]float64) solver.CostFn {
+// memoized surface when it covers the planner's trace, otherwise one
+// tabulated locally in sc.
+func (pl *Planner) surfaceFor(day, occupant int, sc *surfaceScratch) solver.CostFn {
 	if pl.CostSurface != nil {
 		if fn := pl.CostSurface(pl.Trace, day, occupant); fn != nil {
 			return fn
 		}
 	}
-	fn, t := pl.costTableFn(day, occupant, *tbl)
-	*tbl = t
-	return fn
+	return pl.costTableFn(day, occupant, sc)
 }
 
 // allowedFor builds the capability AllowedFn for one occupant and day.
@@ -264,7 +290,7 @@ func (pl *Planner) PlanSHATTER() (*Plan, error) {
 func (pl *Planner) shatterDay(p *Plan, st *planScratch, d, o int, zones []home.ZoneID) (infeasible int, err error) {
 	bands := pl.Model.StayBands(o)
 	iLen := pl.windowLen()
-	cost := pl.surfaceFor(d, o, &st.ctbl)
+	cost := pl.surfaceFor(d, o, &st.surf)
 	allowed := pl.allowedFor(d, o)
 	// The terminal closures are hoisted out of the window loop (one
 	// allocation per occupant-day instead of per window) and read the
@@ -433,7 +459,7 @@ func (pl *Planner) PlanGreedy() (*Plan, error) {
 	scratch := make([]planScratch, pool.Width(pl.Workers, cells))
 	err := pool.RunIndexed(pl.Workers, cells, func(worker, i int) error {
 		d, o := i/occ, i%occ
-		cost := pl.surfaceFor(d, o, &scratch[worker].ctbl)
+		cost := pl.surfaceFor(d, o, &scratch[worker].surf)
 		pl.greedyDay(p, d, o, zones, cost)
 		pl.applyTruthFloor(p, d, o, cost)
 		pl.sanitizeDay(p, d, o)
@@ -521,7 +547,7 @@ func (pl *Planner) PlanBIoTA() (*Plan, error) {
 	type biotaScratch struct {
 		counts []int
 		costs  []solver.CostFn
-		ctbls  [][]float64
+		surfs  []surfaceScratch
 	}
 	days := pl.Trace.NumDays()
 	scratch := make([]biotaScratch, pool.Width(pl.Workers, days))
@@ -530,10 +556,10 @@ func (pl *Planner) PlanBIoTA() (*Plan, error) {
 		if st.counts == nil {
 			st.counts = make([]int, len(house.Zones))
 			st.costs = make([]solver.CostFn, len(house.Occupants))
-			st.ctbls = make([][]float64, len(house.Occupants))
+			st.surfs = make([]surfaceScratch, len(house.Occupants))
 		}
 		for o := range st.costs {
-			st.costs[o] = pl.surfaceFor(d, o, &st.ctbls[o])
+			st.costs[o] = pl.surfaceFor(d, o, &st.surfs[o])
 		}
 		for t := 0; t < aras.SlotsPerDay; t++ {
 			counts := st.counts

@@ -129,62 +129,133 @@ func mixedAirTempF(dem Demand, outdoorF, returnF float64) float64 {
 		return returnF
 	}
 	frac := dem.FreshCFM / dem.SupplyCFM
-	frac = math.Max(0, math.Min(1, frac))
+	frac = max(0, min(1, frac))
 	return frac*outdoorF + (1-frac)*returnF
 }
 
-// CostModel precomputes per-slot marginal costs the attack optimiser uses
-// as its additive surrogate objective: the $ cost of one believed occupant
-// conducting an activity in a zone for one minute, and of one triggered
-// appliance running for one minute. Exact attack costs are re-evaluated
-// with Simulate after scheduling (Section V's case-study accounting).
+// CostModel is the additive surrogate objective the attack optimiser
+// maximises: the $ cost of one believed occupant conducting an activity in
+// a zone for one minute, and of one triggered appliance running for one
+// minute, each evaluated on demand. Its one precomputed table is, per
+// (activity, zone), the heats of the activity's habitual appliances
+// installed in that zone; it is immutable, so planners may share one model
+// across workers. Exact attack costs are re-evaluated with Simulate after
+// scheduling (Section V's case-study accounting).
 type CostModel struct {
 	house   *home.House
 	params  Params
 	pricing Pricing
+	// applHeatW[act*len(house.Zones)+z] lists the heats of act's habitual
+	// appliances installed in zone z, in AppliancesForActivity order.
+	applHeatW [][]float64
 }
 
 // NewCostModel builds a CostModel.
 func NewCostModel(house *home.House, params Params, pricing Pricing) *CostModel {
-	return &CostModel{house: house, params: params, pricing: pricing}
+	nz := len(house.Zones)
+	heats := make([][]float64, home.NumActivities*nz)
+	for act := home.ActivityID(0); act < home.NumActivities; act++ {
+		for _, ai := range house.AppliancesForActivity(act) {
+			appl := house.Appliances[ai]
+			if appl.Zone >= 0 && int(appl.Zone) < nz {
+				i := int(act)*nz + int(appl.Zone)
+				heats[i] = append(heats[i], appl.HeatW())
+			}
+		}
+	}
+	return &CostModel{house: house, params: params, pricing: pricing, applHeatW: heats}
 }
 
-// OccupantSlotCost returns the marginal per-minute USD cost of a believed
-// occupant in zone z performing activity act at slot (minute-of-day),
-// assuming the zone is otherwise unconditioned (so the envelope load
-// activates with the occupant). Outdoor temperature defaults to the design
-// summer mean when weather is nil.
-func (m *CostModel) OccupantSlotCost(occupant int, z home.ZoneID, act home.ActivityID, slot int, outdoorF float64) float64 {
+// OccupantTerm is the slot-independent part of the occupant cost for one
+// (occupant, zone, activity): the activity heat, the envelope coefficient,
+// the zone's habitual-appliance heats and the steady-state fresh-air
+// demand. Build it once and evaluate it at many slots with Cost; a term is
+// a plain value, so callers keep it on the stack or in their own scratch.
+type OccupantTerm struct {
+	m *CostModel
+	// constant marks a term that costs value at every slot.
+	constant bool
+	value    float64
+	// actHeatW is the activity's sensible heat for the occupant (P^HR).
+	actHeatW float64
+	// envUA is the zone's envelope conductance UA·area, in W/°F.
+	envUA float64
+	// applHeatW are the heats of the activity's habitual appliances in the
+	// zone, in AppliancesForActivity order (shared with the model).
+	applHeatW []float64
+	// freshCFM is the steady-state fresh air that holds the CO2 setpoint
+	// against the occupant's generation.
+	freshCFM float64
+}
+
+// OccupantTerm builds the cost term of occupant reported in zone z
+// performing activity act. An unconditioned zone costs 0 at every slot. A
+// zone whose fresh-air demand is undefined (zero volume) costs NaN at every
+// slot, returned as math.NaN() so its bits do not depend on how min and
+// max propagate NaN payloads.
+func (m *CostModel) OccupantTerm(occupant int, z home.ZoneID, act home.ActivityID) OccupantTerm {
 	if !z.Conditioned() {
-		return 0
+		return OccupantTerm{constant: true}
 	}
 	p := m.params
 	zone := m.house.Zone(z)
 	demo := m.house.Occupants[occupant].Demographics
 	a := home.ActivityByID(act)
-	heat := a.HeatW(demo) + p.EnvelopeUAWPerF2*zone.AreaFt2*math.Max(0, outdoorF-p.ZoneSetpointF)
+	t := OccupantTerm{
+		m:        m,
+		actHeatW: a.HeatW(demo),
+		envUA:    p.EnvelopeUAWPerF2 * zone.AreaFt2,
+	}
 	// The activity-appliance relationship: a reported activity carries its
 	// habitual appliances' status (δ^D in the attack vector), so their heat
 	// becomes believed cooling load.
-	for _, ai := range m.house.AppliancesForActivity(act) {
-		if m.house.Appliances[ai].Zone == z {
-			heat += m.house.Appliances[ai].HeatW()
-		}
+	if act >= 0 && act < home.NumActivities {
+		t.applHeatW = m.applHeatW[int(act)*len(m.house.Zones)+int(z)]
 	}
-	qs := supplyAirForHeat(heat, p.ZoneSetpointF, p.SupplyAirTempF)
 	// Steady-state fresh air to hold the setpoint against this occupant's
 	// generation: r·(set − out) = genPPM.
 	genPPM := a.CO2Ft3PerMin(demo) * SlotMinutes / zone.VolumeFt3 * 1e6
-	qf := 0.0
 	if den := p.CO2SetpointPPM - 420; den > 0 {
-		qf = genPPM / den * zone.VolumeFt3 / SlotMinutes
+		t.freshCFM = genPPM / den * zone.VolumeFt3 / SlotMinutes
 	}
-	q := math.Min(math.Max(qs, qf), p.MaxZoneCFM)
-	fresh := math.Min(qf, q)
+	if math.IsNaN(t.freshCFM) {
+		return OccupantTerm{constant: true, value: math.NaN()}
+	}
+	return t
+}
+
+// Cost returns the term's marginal per-minute USD cost at slot
+// (minute-of-day) under outdoor temperature outdoorF, assuming the zone is
+// otherwise unconditioned (so the envelope load activates with the
+// occupant).
+func (t *OccupantTerm) Cost(slot int, outdoorF float64) float64 {
+	if t.constant {
+		return t.value
+	}
+	p := &t.m.params
+	heat := t.actHeatW + t.envUA*max(0, outdoorF-p.ZoneSetpointF)
+	// Appliance heats are added one at a time after the envelope term and
+	// never pre-summed: floating-point addition is not associative, and a
+	// pre-summed total would change the surface's bits.
+	for _, w := range t.applHeatW {
+		heat += w
+	}
+	qs := supplyAirForHeat(heat, p.ZoneSetpointF, p.SupplyAirTempF)
+	q := min(max(qs, t.freshCFM), p.MaxZoneCFM)
+	fresh := min(t.freshCFM, q)
 	tMix := mixedAirTempF(Demand{SupplyCFM: q, FreshCFM: fresh}, outdoorF, p.ZoneSetpointF)
-	watts := q*math.Max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + q*p.FanWPerCFM
+	watts := q*max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + q*p.FanWPerCFM
 	kwh := watts * SlotMinutes / 60000
-	return kwh * m.rateApprox(slot)
+	return kwh * t.m.rateApprox(slot)
+}
+
+// OccupantSlotCost returns the marginal per-minute USD cost of a believed
+// occupant in zone z performing activity act at slot (minute-of-day) under
+// outdoor temperature outdoorF: OccupantTerm evaluated at one slot. It does
+// not allocate.
+func (m *CostModel) OccupantSlotCost(occupant int, z home.ZoneID, act home.ActivityID, slot int, outdoorF float64) float64 {
+	t := m.OccupantTerm(occupant, z, act)
+	return t.Cost(slot, outdoorF)
 }
 
 // ApplianceSlotCost returns the marginal per-minute USD cost of appliance
@@ -196,9 +267,9 @@ func (m *CostModel) ApplianceSlotCost(ai, slot int, outdoorF float64) float64 {
 	watts := appl.PowerW
 	if appl.Zone.Conditioned() {
 		qs := supplyAirForHeat(appl.HeatW(), p.ZoneSetpointF, p.SupplyAirTempF)
-		qs = math.Min(qs, p.MaxZoneCFM)
+		qs = min(qs, p.MaxZoneCFM)
 		tMix := mixedAirTempF(Demand{SupplyCFM: qs}, outdoorF, p.ZoneSetpointF)
-		watts += qs*math.Max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + qs*p.FanWPerCFM
+		watts += qs*max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + qs*p.FanWPerCFM
 	}
 	kwh := watts * SlotMinutes / 60000
 	return kwh * m.rateApprox(slot)
