@@ -156,10 +156,18 @@ func TestServiceDrainRehydrateMatchesUninterrupted(t *testing.T) {
 		if err := svc.Add(jobs); err != nil {
 			t.Fatal(err)
 		}
-		// Let the fleet make some progress, then stop it mid-flight. The
-		// sleep only positions the drain somewhere inside the run; the
-		// byte-identical guarantee holds wherever it lands.
-		time.Sleep(20 * time.Millisecond)
+		// Let the fleet make some progress, then stop it mid-flight.
+		// Draining once the first home-day lands, rather than after a
+		// fixed sleep, keeps the drain inside the run however fast the
+		// host steps homes; the byte-identical guarantee holds wherever
+		// it lands.
+		deadline := time.Now().Add(10 * time.Second)
+		for svc.Snapshot().Days == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("fleet made no progress: %+v", svc.Snapshot())
+			}
+			time.Sleep(time.Millisecond)
+		}
 		for i := 0; i < 2; i++ {
 			if err := svc.DrainShard(i); err != nil {
 				t.Fatal(err)

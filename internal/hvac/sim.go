@@ -267,9 +267,9 @@ func (m *CostModel) ApplianceSlotCost(ai, slot int, outdoorF float64) float64 {
 	watts := appl.PowerW
 	if appl.Zone.Conditioned() {
 		qs := supplyAirForHeat(appl.HeatW(), p.ZoneSetpointF, p.SupplyAirTempF)
-		qs = min(qs, p.MaxZoneCFM)
+		qs = math.Min(qs, p.MaxZoneCFM)
 		tMix := mixedAirTempF(Demand{SupplyCFM: qs}, outdoorF, p.ZoneSetpointF)
-		watts += qs*max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + qs*p.FanWPerCFM
+		watts += qs*math.Max(0, tMix-p.SupplyAirTempF)*SensibleHeatFactor + qs*p.FanWPerCFM
 	}
 	kwh := watts * SlotMinutes / 60000
 	return kwh * m.rateApprox(slot)
