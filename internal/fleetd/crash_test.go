@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -537,5 +538,127 @@ func TestServiceRestartOutcomesMatchJournal(t *testing.T) {
 	}
 	if retried == 0 || quarantined == 0 {
 		t.Fatalf("fixture too tame: %d retried, %d quarantined homes", retried, quarantined)
+	}
+}
+
+// blockingSource parks its first NextBlock until released and then fails:
+// a quantum that is running when the admin's Remove lands and fails after
+// it.
+type blockingSource struct {
+	stream.Source
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingSource) NextBlock(*stream.DayBlock) error {
+	close(b.entered)
+	<-b.release
+	return errors.New("link lost after remove")
+}
+
+// TestShardRemoveDuringFailingQuantum: a Remove issued while a home's
+// quantum runs ends the home removed even when the quantum then fails — no
+// retry, no quarantine, and no quarantine record that would outrank the
+// journaled removal on restart.
+func TestShardRemoveDuringFailingQuantum(t *testing.T) {
+	req := AddRequest{Synth: 2, Seed: 31, Days: 2}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var victim string
+	factory := func(r AddRequest) ([]stream.Job, error) {
+		jobs, err := synthFactory(r)
+		if err != nil {
+			return nil, err
+		}
+		base := jobs[0]
+		victim = base.ID
+		jobs[0].Open = func() (stream.Source, *stream.Home, error) {
+			src, h, err := base.Open()
+			if err != nil {
+				return nil, nil, err
+			}
+			return &blockingSource{Source: src, entered: entered, release: release}, h, nil
+		}
+		return jobs, nil
+	}
+	stateDir := t.TempDir()
+	boot := func() *Service {
+		t.Helper()
+		svc, err := NewService(Config{Shards: 1, StateDir: stateDir, Jobs: factory,
+			Shard: ShardOptions{Workers: 2, Recover: true, MaxRetries: 2,
+				RetryBackoff: mqtt.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	svc := boot()
+	if _, err := svc.AddSpec(req); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(time.Minute):
+		t.Fatal("victim never started streaming")
+	}
+	if err := svc.Remove(victim); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	waitIdleTimeout(t, svc, time.Minute)
+	if _, out, _ := svc.shards[0].Outcome(victim); out.Status != OutcomeRemoved {
+		t.Fatalf("live outcome: %+v", out)
+	}
+	if snap := svc.Snapshot(); snap.HomesRemoved != 1 || snap.HomesFailed != 0 || snap.HomesCompleted != 1 || snap.Retries != 0 {
+		t.Fatalf("snapshot: %+v", snap)
+	}
+	svc.Close(false)
+
+	svc = boot()
+	defer svc.Close(false)
+	for _, out := range svc.Outcomes() {
+		want := stream.OutcomeCompleted
+		if out.ID == victim {
+			want = OutcomeRemoved
+		}
+		if out.Status != want {
+			t.Fatalf("restarted outcome %+v, want %s", out, want)
+		}
+	}
+}
+
+// TestServiceRestoreFallback: a checkpoint dir seeded with corrupt files
+// makes every home start fresh instead of failing, and the fleet matches a
+// clean RunFleet.
+func TestServiceRestoreFallback(t *testing.T) {
+	const homes, days = 3, 2
+	jobs := synthJobs(homes, days, 57)
+	want, err := stream.RunFleet(jobs, stream.FleetOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, j := range jobs {
+		if err := os.WriteFile(stream.CheckpointPath(dir, j.ID), []byte("not a checkpoint"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := NewService(Config{Shards: 1, Shard: ShardOptions{Workers: 2, Recover: true, CheckpointDir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(false)
+	if err := svc.Add(jobs); err != nil {
+		t.Fatal(err)
+	}
+	waitIdleTimeout(t, svc, time.Minute)
+	got := svc.Result()
+	checkHomesEqual(t, got.Homes, want.Homes)
+	for _, out := range got.Outcomes {
+		if out.Status != stream.OutcomeCompleted || out.Attempts != 1 || out.Restores != 0 {
+			t.Fatalf("outcome: %+v", out)
+		}
+		if ck, err := stream.LoadCheckpoint(dir, out.ID); ck != nil || err != nil {
+			t.Fatalf("completed home %s left a checkpoint: %+v, %v", out.ID, ck, err)
+		}
 	}
 }

@@ -49,7 +49,7 @@ type ShardOptions struct {
 	CheckpointEvery int
 	// AsyncCheckpoints moves day-boundary disk writes onto a background
 	// sink; drain, stop, restore, and completion barrier the sink before
-	// they read or finalize disk state (see stream.FleetOptions).
+	// they read or finalize disk state (see stream.AttemptPolicy).
 	AsyncCheckpoints bool
 	// Chaos injects the seeded fault schedule into every home's transport.
 	Chaos *stream.FaultConfig
@@ -68,11 +68,12 @@ type ShardOptions struct {
 	ProgressDeadline time.Duration
 
 	// Broker, when non-empty, routes every home's day-block frames through
-	// the MQTT broker at this address (per-home home/<id>/sensor topics),
-	// exactly like stream.RunFleet's MQTT mode.
+	// the MQTT broker at this address (per-home home/<id>/sensor topics);
+	// the transport is the shared per-home attempt's (stream.AttemptPolicy).
 	Broker string
 	// Dial, ProbeTimeout, and ReceiveTimeout configure the broker
-	// connections (see stream.FleetOptions).
+	// connections, with the defaults stream.FleetOptions documents: both
+	// engines resolve them through stream.AttemptPolicy.
 	Dial           mqtt.DialOptions
 	ProbeTimeout   time.Duration
 	ReceiveTimeout time.Duration
@@ -95,24 +96,22 @@ func (o ShardOptions) withDefaults() ShardOptions {
 	if o.QuantumDays <= 0 {
 		o.QuantumDays = 1
 	}
-	if o.Recover && o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.Recover && o.ReceiveTimeout == 0 && o.Broker != "" {
-		o.ReceiveTimeout = 10 * time.Second
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
-	}
 	if o.Clock == nil {
 		o.Clock = stream.RealClock
 	}
 	return o
 }
 
-// supervised reports whether the shard keeps day-boundary checkpoints as
-// it runs (for retries and/or persistence).
-func (o ShardOptions) supervised() bool { return o.Recover || o.CheckpointDir != "" }
+// attemptPolicy resolves the options into the shared per-home attempt
+// policy. A supervised shard checkpoints even without a CheckpointDir: the
+// in-memory checkpoint is its retry point.
+func (o ShardOptions) attemptPolicy() *stream.AttemptPolicy {
+	return stream.FleetOptions{
+		Broker: o.Broker, Dial: o.Dial, ProbeTimeout: o.ProbeTimeout, ReceiveTimeout: o.ReceiveTimeout,
+		Recover: o.Recover, MaxRetries: o.MaxRetries, Chaos: o.Chaos, Clock: o.Clock,
+		CheckpointDir: o.CheckpointDir, CheckpointEvery: o.CheckpointEvery, AsyncCheckpoints: o.AsyncCheckpoints,
+	}.AttemptPolicy(o.Recover)
+}
 
 // homeState is a home's position in the shard lifecycle.
 type homeState uint8
@@ -140,32 +139,23 @@ const (
 	stateRemoved
 )
 
-// homeRun is one home's scheduling record. Pipeline fields (src, drive,
-// home, pos, days, …) are only touched by the worker currently driving the
-// home or, for parked/drained homes, under the shard lock with no worker
-// attached — a home is never on two workers at once.
+// homeRun is one home's scheduling record. Pipeline fields (att, out,
+// lastCk, …) are only touched by the worker currently driving the home or,
+// for parked/drained homes, under the shard lock with no worker attached —
+// a home is never on two workers at once.
 type homeRun struct {
 	job   stream.Job
 	state homeState
 
-	src   stream.Source      // as returned by job.Open (owns real resources)
-	drive stream.BlockSource // transport-wrapped day-block source the scheduler pulls
-
-	home *stream.Home
-	pos  int // last ingested absolute slot, for verdict latency
-	days int // completed days
-
-	opens    int // pipeline openings (attempt epoch for the MQTT pipe)
+	att      *stream.Attempt    // live pipeline; nil while the home holds none
+	out      stream.HomeOutcome // supervision record; Status and Err are set on read
 	failures int
-	restores int
-	lastCk   *stream.Checkpoint // newest day-boundary checkpoint
-	ckDay    int                // highest day boundary ever checkpointed
+	lastCk   *stream.Checkpoint // newest checkpoint, the retry point across attempts
 
 	pauseReq  bool
 	removeReq bool
 	err       error
 	result    stream.HomeResult
-	elapsed   time.Duration
 
 	wd *watchdog // liveness watchdog (nil unless ProgressDeadline armed it)
 }
@@ -173,15 +163,8 @@ type homeRun struct {
 // outcome assembles the home's supervision record. Callers own the home
 // (its worker, or the shard lock for idle homes).
 func (h *homeRun) outcome(status stream.OutcomeStatus) stream.HomeOutcome {
-	out := stream.HomeOutcome{
-		ID:       h.job.ID,
-		Status:   status,
-		Attempts: h.opens,
-		Restores: h.restores,
-		Days:     h.days,
-		Duration: h.elapsed,
-	}
-	out.CheckpointDay = h.ckDay
+	out := h.out
+	out.Status = status
 	if h.err != nil {
 		out.Err = h.err.Error()
 	}
@@ -197,12 +180,10 @@ func (h *homeRun) outcome(status stream.OutcomeStatus) stream.HomeOutcome {
 // caps live pipelines (injector→detector→controller state), and the ready
 // queue only ever holds admitted homes.
 type Shard struct {
-	id   int
-	opts ShardOptions
-	met  *Metrics
-	// ckSink is the async checkpoint writer (nil unless CheckpointDir and
-	// AsyncCheckpoints are both set).
-	ckSink *stream.CheckpointSink
+	id     int
+	opts   ShardOptions
+	policy *stream.AttemptPolicy
+	met    *Metrics
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -231,9 +212,7 @@ func newShard(id int, opts ShardOptions, met *Metrics) *Shard {
 		met:   met,
 		homes: make(map[string]*homeRun),
 	}
-	if sh.opts.CheckpointDir != "" && sh.opts.AsyncCheckpoints {
-		sh.ckSink = stream.NewCheckpointSink(sh.opts.CheckpointDir)
-	}
+	sh.policy = sh.opts.attemptPolicy()
 	sh.cond = sync.NewCond(&sh.mu)
 	for w := 0; w < sh.opts.Workers; w++ {
 		sh.wg.Add(1)
@@ -264,7 +243,7 @@ func (sh *Shard) add(jobs []stream.Job, paused map[string]bool) error {
 		}
 	}
 	for _, j := range jobs {
-		h := &homeRun{job: j, state: statePending, pauseReq: paused[j.ID]}
+		h := &homeRun{job: j, state: statePending, out: stream.HomeOutcome{ID: j.ID}, pauseReq: paused[j.ID]}
 		sh.homes[j.ID] = h
 		sh.pending = append(sh.pending, h)
 		sh.outstanding++
@@ -355,7 +334,7 @@ func (sh *Shard) claimLocked() *homeRun {
 func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 	began := time.Now()
 	done, err := sh.quantum(h, blk)
-	h.elapsed += time.Since(began)
+	h.out.Duration += time.Since(began)
 	switch {
 	case err != nil:
 		sh.fail(h, err)
@@ -366,15 +345,12 @@ func (sh *Shard) drive(h *homeRun, blk *stream.DayBlock) {
 	}
 }
 
-// quantum opens the home's pipeline if needed and drives up to QuantumDays
-// day-blocks: one frame per home-day, day-boundary checkpoints at the
-// configured cadence, and event metrics from IngestDay's accounting. It
-// reports whether the home reached end-of-stream (h.result then holds the
-// closed home's result). The verdict-latency position advances to the
-// day's last slot before ingesting — a whole day arrives at once, so the
-// latency metric is day-granular.
+// quantum opens the home's pipeline if needed and steps it up to
+// QuantumDays day-blocks, folding each day's event accounting into the
+// metrics. It reports whether the home reached end-of-stream (h.result then
+// holds the closed home's result).
 func (sh *Shard) quantum(h *homeRun, blk *stream.DayBlock) (bool, error) {
-	if h.home == nil {
+	if h.att == nil {
 		if err := sh.open(h); err != nil {
 			return false, err
 		}
@@ -384,15 +360,17 @@ func (sh *Shard) quantum(h *homeRun, blk *stream.DayBlock) (bool, error) {
 	// not a stall. Every exit path (yield/complete/fail) disarms it.
 	sh.armWatchdog(h)
 	var slots, sensor, action int64
+	att, saved := h.att, h.att.Checkpoints
 	defer func() {
 		sh.met.slots.Add(slots)
 		sh.met.sensorEvents.Add(sensor)
 		sh.met.actionEvents.Add(action)
+		sh.met.checkpoints.Add(int64(att.Checkpoints - saved))
 	}()
 	for d := 0; d < sh.opts.QuantumDays; d++ {
-		err := h.drive.NextBlock(blk)
+		st, err := att.Step(blk)
 		if err == io.EOF {
-			res, err := h.home.Close()
+			res, err := att.Finish()
 			if err != nil {
 				return false, err
 			}
@@ -402,154 +380,58 @@ func (sh *Shard) quantum(h *homeRun, blk *stream.DayBlock) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		h.pos = blk.Day*aras.SlotsPerDay + aras.SlotsPerDay - 1
-		st, err := h.home.IngestDay(blk)
-		if err != nil {
-			return false, err
-		}
 		slots += int64(aras.SlotsPerDay)
 		sensor += st.SensorEvents
 		action += st.ActionEvents
-		h.days = blk.Day + 1
 		sh.met.days.Add(1)
 		h.wd.feed()
-		if sh.opts.supervised() && h.days%sh.opts.CheckpointEvery == 0 {
-			if err := sh.checkpoint(h, false); err != nil {
-				return false, err
-			}
-		}
 	}
 	return false, nil
 }
 
-// open builds (or rebuilds) a home's pipeline on the claiming worker,
-// restoring from the newest checkpoint when one exists — the same
-// open/restore/transport sequence as stream.RunFleet's supervised attempt.
+// open builds (or rebuilds) a home's pipeline on the claiming worker
+// through the shared per-home attempt (stream.AttemptPolicy.Open), with the
+// verdict hook installed before any restore and the in-memory checkpoint as
+// the restore fallback.
 func (sh *Shard) open(h *homeRun) error {
-	src, home, err := h.job.Open()
+	att, err := sh.policy.Open(h.job, &h.out, h.lastCk, func(home *stream.Home) {
+		// Verdict latency is day-granular: a whole day arrives at once, so
+		// verdicts are measured from the last slot of the day in flight.
+		_ = home.SetOnVerdict(func(v adm.Verdict) {
+			end := v.Episode.Day*aras.SlotsPerDay + v.Episode.ArrivalSlot + v.Episode.Duration - 1
+			sh.met.observeVerdict(int64(h.att.Slot()-end), v.Anomalous)
+		})
+	})
 	if err != nil {
 		return err
 	}
-	sh.wireVerdicts(h, home)
-	ck := h.lastCk
-	if sh.opts.CheckpointDir != "" {
-		if sh.ckSink != nil {
-			// The restore decision reads the disk; queued async writes must
-			// land first, and a recorded write failure fails this attempt
-			// (retrying re-runs the flush) instead of resuming stale.
-			if ferr := sh.ckSink.Flush(h.job.ID); ferr != nil {
-				closeSource(src)
-				return ferr
-			}
-		}
-		if disk, lerr := stream.LoadCheckpoint(sh.opts.CheckpointDir, h.job.ID); lerr == nil && disk != nil {
-			ck = disk
-		}
-		// Load errors (corrupt file) fall back to the in-memory checkpoint
-		// or a fresh start; the next save overwrites the bad file.
+	if att.Restored {
+		sh.met.restores.Add(1)
 	}
-	if ck != nil && ck.Days > 0 {
-		if rerr := stream.RestoreFrom(src, home, ck); rerr == nil {
-			h.days = ck.Days
-			h.restores++
-			sh.met.restores.Add(1)
-		} else {
-			// A checkpoint that does not fit restarts the home from scratch
-			// on fresh components — a half-restored home must never stream.
-			closeSource(src)
-			if src, home, err = h.job.Open(); err != nil {
-				return err
-			}
-			sh.wireVerdicts(h, home)
-			h.days = 0
-		}
-	}
-	h.opens++
-	// Same wiring as stream.RunFleet: faults perturb whole day frames on the
-	// (home, attempt, day)-keyed schedule, in the pipe or around the source.
-	plan := sh.opts.Chaos.Plan(h.job.ID, h.opens-1)
-	var drive stream.BlockSource
-	if sh.opts.Broker != "" {
-		pipe, perr := stream.OpenPipeOptions(sh.opts.Broker, stream.SensorTopic(h.job.ID), src, stream.PipeOptions{
-			Dial:           sh.opts.Dial,
-			ProbeTimeout:   sh.opts.ProbeTimeout,
-			ReceiveTimeout: sh.opts.ReceiveTimeout,
-			Faults:         plan,
-			Epoch:          h.opens - 1,
-			Clock:          sh.opts.Clock,
-		})
-		if perr != nil {
-			closeSource(src)
-			return perr
-		}
-		drive = pipe
-	} else {
-		drive = stream.NewFaultSource(src, plan, sh.opts.Clock)
-	}
-	h.src, h.drive, h.home = src, drive, home
+	h.att = att
 	return nil
 }
 
-// wireVerdicts points the home's verdict hook at the shard metrics. Must
-// run before any restore (the hook cannot be installed on a home that has
-// already streamed).
-func (sh *Shard) wireVerdicts(h *homeRun, home *stream.Home) {
-	_ = home.SetOnVerdict(func(v adm.Verdict) {
-		end := v.Episode.Day*aras.SlotsPerDay + v.Episode.ArrivalSlot + v.Episode.Duration - 1
-		sh.met.observeVerdict(int64(h.pos-end), v.Anomalous)
-	})
-}
-
-// checkpoint snapshots a home at its current day boundary: always into
-// memory (the retry path), and onto disk when a checkpoint dir is set.
-// Drive-path saves (direct=false) may route through the async sink;
-// finalizing saves (drain, stop) pass direct=true, which barriers the sink
-// first — so a stale queued write can never land after the newer
-// synchronous one — and then writes in place.
-func (sh *Shard) checkpoint(h *homeRun, direct bool) error {
-	ck, err := h.home.Checkpoint()
-	if err != nil {
+// persist takes a finalizing (drain or stop) checkpoint of a resident home.
+func (sh *Shard) persist(h *homeRun) error {
+	if err := h.att.Checkpoint(true); err != nil {
 		return err
-	}
-	h.lastCk = ck
-	if ck.Days > h.ckDay {
-		h.ckDay = ck.Days
-	}
-	if sh.opts.CheckpointDir != "" {
-		if sh.ckSink != nil && !direct {
-			if err := sh.ckSink.Save(ck); err != nil {
-				return err
-			}
-		} else {
-			if sh.ckSink != nil {
-				if err := sh.ckSink.Flush(h.job.ID); err != nil {
-					return err
-				}
-			}
-			if err := stream.SaveCheckpoint(sh.opts.CheckpointDir, ck); err != nil {
-				return err
-			}
-		}
 	}
 	sh.met.checkpoints.Add(1)
 	return nil
 }
 
-// teardown releases a home's pipeline state. Safe on partially opened
-// homes.
+// teardown releases a home's pipeline, keeping its newest checkpoint as the
+// retry point. Safe on homes holding none.
 func (h *homeRun) teardown() {
-	if h.drive != nil && h.drive != h.src {
-		closeSource(h.drive) // MQTT pipe: closes pump + subscriptions
+	if h.att == nil {
+		return
 	}
-	closeSource(h.src)
-	h.src, h.drive, h.home = nil, nil, nil
-}
-
-// closeSource releases a source's resources when it holds any.
-func closeSource(src stream.BlockSource) {
-	if c, ok := src.(io.Closer); ok {
-		c.Close()
+	h.att.Close()
+	if h.att.Last != nil {
+		h.lastCk = h.att.Last
 	}
+	h.att = nil
 }
 
 // watchdog is one home's liveness deadline: armed for the duration of a
@@ -653,7 +535,7 @@ func (sh *Shard) armWatchdog(h *homeRun) {
 	if sh.opts.ProgressDeadline <= 0 {
 		return
 	}
-	target, ok := h.drive.(io.Closer)
+	target, ok := h.att.Transport().(io.Closer)
 	if !ok {
 		return
 	}
@@ -691,23 +573,10 @@ func (sh *Shard) complete(h *homeRun) {
 	h.wd.disarm()
 	h.teardown()
 	if sh.opts.onDone != nil {
-		status := stream.OutcomeCompleted
-		if h.failures > 0 {
-			status = stream.OutcomeRetried
-		}
-		sh.opts.onDone(h.result, h.outcome(status))
+		sh.opts.onDone(h.result, h.outcome(stream.CompletedStatus(h.failures > 0)))
 	}
-	if sh.opts.CheckpointDir != "" {
-		// Barrier any queued async write, then remove: the checkpoint served
-		// its purpose, and a later fresh run must not resume from it.
-		if sh.ckSink != nil {
-			if ferr := sh.ckSink.Flush(h.job.ID); ferr != nil && h.err == nil {
-				h.err = ferr
-			}
-		}
-		if rerr := stream.RemoveCheckpoint(sh.opts.CheckpointDir, h.job.ID); rerr != nil && h.err == nil {
-			h.err = rerr
-		}
+	if err := sh.policy.Remove(h.job.ID); err != nil && h.err == nil {
+		h.err = err
 	}
 	h.lastCk = nil
 	sh.mu.Lock()
@@ -721,11 +590,12 @@ func (sh *Shard) complete(h *homeRun) {
 	sh.cond.Broadcast()
 }
 
-// fail handles an attempt failure: tear the pipeline down, then either
-// schedule a retry (off-worker, on a backoff timer) or quarantine the home.
-// A watchdog trip is folded into the error here — the trip closed the
-// transport, so the proximate error is a closed-pipe read, and the wrapped
-// message keeps the real cause visible in the outcome.
+// fail handles an attempt failure: tear the pipeline down, then discard
+// the home when a Remove arrived while it ran, else either schedule a retry
+// (off-worker, on a backoff timer) or quarantine it. A watchdog trip is
+// folded into the error here — the trip closed the transport, so the
+// proximate error is a closed-pipe read, and the wrapped message keeps the
+// real cause visible in the outcome.
 func (sh *Shard) fail(h *homeRun, err error) {
 	if h.wd.disarm() {
 		err = fmt.Errorf("fleetd: home %q made no day-boundary progress within %s (watchdog): %w",
@@ -737,29 +607,29 @@ func (sh *Shard) fail(h *homeRun, err error) {
 	sh.resident--
 	h.failures++
 	h.err = err
-	retries := 0
-	if sh.opts.Recover && sh.opts.MaxRetries > 0 {
-		retries = sh.opts.MaxRetries
-	}
-	if h.failures <= retries && !sh.stopped && !h.removeReq {
+	quarantined := false
+	switch {
+	case h.removeReq:
+		// The admin's Remove (already journaled) outranks the failure: the
+		// home ends removed, not quarantined.
+		sh.discardLocked(h)
+	case h.failures <= sh.policy.Retries() && !sh.stopped:
 		sh.met.retries.Add(1)
 		h.state = statePending
-		delay := sh.opts.RetryBackoff.Delay(h.failures - 1)
 		// The retry waits on a timer, not a worker: the home re-enters the
 		// pending queue when the backoff elapses and reopens from its last
 		// checkpoint on whichever worker claims it.
-		sh.opts.Clock.AfterFunc(delay, func() { sh.requeue(h) })
-		sh.cond.Broadcast()
-		sh.mu.Unlock()
-		return
+		sh.opts.Clock.AfterFunc(sh.opts.RetryBackoff.Delay(h.failures-1), func() { sh.requeue(h) })
+	default:
+		quarantined = true
+		h.state = stateFailed
+		sh.failed++
+		sh.outstanding--
+		sh.met.homesFailed.Add(1)
 	}
-	h.state = stateFailed
-	sh.failed++
-	sh.outstanding--
-	sh.met.homesFailed.Add(1)
 	sh.cond.Broadcast()
 	sh.mu.Unlock()
-	if sh.opts.onDone != nil {
+	if quarantined && sh.opts.onDone != nil {
 		// Quarantine is terminal: journal it (off the shard lock) so a
 		// restart does not resurrect a home the supervisor gave up on.
 		sh.opts.onDone(stream.HomeResult{ID: h.job.ID}, h.outcome(stream.OutcomeQuarantined))
@@ -789,7 +659,7 @@ func (sh *Shard) discardLocked(h *homeRun) {
 	if h.state == stateRemoved {
 		return
 	}
-	if h.home != nil {
+	if h.att != nil {
 		h.teardown()
 		sh.resident--
 	}
@@ -839,11 +709,11 @@ func (sh *Shard) resumeLocked(h *homeRun) {
 		return
 	}
 	switch {
-	case h.home != nil && sh.draining:
+	case h.att != nil && sh.draining:
 		// Mid-drain a resumed resident home parks like every other one, so
 		// the drain finalizer checkpoints it instead of racing dispatch.
 		h.state = stateParked
-	case h.home != nil:
+	case h.att != nil:
 		h.state = stateReady
 		sh.ready = append(sh.ready, h)
 	default:
@@ -923,10 +793,10 @@ func (sh *Shard) Drain() error {
 		default:
 			continue
 		}
-		if h.home == nil {
+		if h.att == nil {
 			continue
 		}
-		err := sh.checkpoint(h, true)
+		err := sh.persist(h)
 		h.teardown()
 		sh.resident--
 		if err != nil {
@@ -996,11 +866,11 @@ func (sh *Shard) Stop(persist bool) {
 	sh.wg.Wait()
 	sh.mu.Lock()
 	for _, h := range sh.homes {
-		if h.home == nil {
+		if h.att == nil {
 			continue
 		}
 		if persist {
-			if err := sh.checkpoint(h, true); err != nil && h.err == nil {
+			if err := sh.persist(h); err != nil && h.err == nil {
 				h.err = err
 			}
 		}
@@ -1008,10 +878,8 @@ func (sh *Shard) Stop(persist bool) {
 		sh.resident--
 	}
 	sh.mu.Unlock()
-	if sh.ckSink != nil {
-		// Final barrier: every queued write lands before Stop returns.
-		sh.ckSink.Close()
-	}
+	// Final barrier: every queued write lands before Stop returns.
+	sh.policy.Close()
 }
 
 // Status reports the shard's gauges.
@@ -1051,10 +919,7 @@ func (sh *Shard) Outcome(homeID string) (stream.HomeResult, stream.HomeOutcome, 
 	status := OutcomeActive
 	switch h.state {
 	case stateDone:
-		status = stream.OutcomeCompleted
-		if h.failures > 0 {
-			status = stream.OutcomeRetried
-		}
+		status = stream.CompletedStatus(h.failures > 0)
 	case stateFailed:
 		status = stream.OutcomeQuarantined
 	case stateRemoved:

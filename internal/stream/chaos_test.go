@@ -423,8 +423,9 @@ func (c *closableSource) Close() error {
 }
 
 // TestRunAttemptClosesSourceOnPipeFailure: when OpenPipe fails (dead
-// broker), the freshly opened source must still be released — the leak the
-// supervisor's defer path exists to prevent.
+// broker), the shared attempt opener must still release the freshly opened
+// source — the leak its error paths exist to prevent, for both fleet
+// engines.
 func TestRunAttemptClosesSourceOnPipeFailure(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -440,8 +441,8 @@ func TestRunAttemptClosesSourceOnPipeFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := Job{ID: "x", Open: func() (Source, *Home, error) { return src, h, nil }}
-	opts := FleetOptions{Broker: dead, Dial: mqtt.DialOptions{Timeout: 200 * time.Millisecond}}.withDefaults()
-	if _, _, err := runAttempt(job, opts, 0); err == nil {
+	p := FleetOptions{Broker: dead, Dial: mqtt.DialOptions{Timeout: 200 * time.Millisecond}}.AttemptPolicy(false)
+	if _, err := p.Open(job, &HomeOutcome{ID: job.ID}, nil, nil); err == nil {
 		t.Fatal("dead broker accepted")
 	}
 	if !src.closed {
@@ -473,9 +474,19 @@ func TestFleetMonitorDrainLostSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
+	// Binary day-block frames, the only data framing on the bus.
+	src := traceSrc(t, 5)
+	var blk DayBlock
 	const frames = 5
 	for i := 0; i < frames; i++ {
-		if err := pub.Publish(SensorTopic("ghost"), Slot{Home: "ghost", Day: 0, Index: i}); err != nil {
+		if err := src.NextBlock(&blk); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := AppendBlockFrame(nil, &blk, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.PublishRaw(SensorTopic("ghost"), frame); err != nil {
 			t.Fatal(err)
 		}
 	}

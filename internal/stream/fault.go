@@ -185,8 +185,8 @@ type faultSource struct {
 }
 
 // NewFaultSource wraps a day-block source with a chaos schedule on the
-// direct (no broker) path — the constructor the fleet service shares with
-// RunFleet's internal wiring. A nil plan returns src unchanged; a nil clock
+// direct (no broker) path — the transport AttemptPolicy.Open wraps around
+// every fleet home's source. A nil plan returns src unchanged; a nil clock
 // waits on real time.
 func NewFaultSource(src BlockSource, plan *FaultPlan, clock Clock) BlockSource {
 	if plan == nil {

@@ -3,7 +3,6 @@ package stream
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -20,9 +19,9 @@ type Job struct {
 	Open func() (Source, *Home, error)
 }
 
-// FleetOptions configures a fleet run. The zero value reproduces the legacy
-// behaviour: no supervision (first error aborts the fleet), no checkpoints,
-// no chaos, and the historical transport timeouts.
+// FleetOptions configures a fleet run. The zero value runs one worker per
+// CPU over the direct (in-process) day-block transport, unsupervised (the
+// first error aborts the fleet), with no checkpoints and no chaos.
 type FleetOptions struct {
 	// Workers bounds the pool. 0 uses one worker per CPU; 1 forces
 	// sequential execution. Per-home results are deterministic either way.
@@ -60,9 +59,6 @@ type FleetOptions struct {
 	// and at fleet drain — durability moves from "at the day boundary" to
 	// "by the next barrier", which is when staleness would be observable.
 	AsyncCheckpoints bool
-	// ckSink is the shared async writer when AsyncCheckpoints is on; wired
-	// internally by RunFleet.
-	ckSink *CheckpointSink
 
 	// Chaos, when non-nil, injects the seeded fault schedule into every
 	// home's transport (see FaultConfig).
@@ -226,17 +222,14 @@ func RunFleet(jobs []Job, opts FleetOptions) (FleetResult, error) {
 		monitor = m
 		defer monitor.close()
 	}
-	if opts.CheckpointDir != "" && opts.AsyncCheckpoints {
-		sink := NewCheckpointSink(opts.CheckpointDir)
-		opts.ckSink = sink
-		// The final barrier: any write still queued for a quarantined home
-		// lands before the fleet returns.
-		defer sink.Close()
-	}
+	p := opts.AttemptPolicy(false)
+	// The final barrier: any write still queued for a quarantined home lands
+	// before the fleet returns.
+	defer p.Close()
 	results := make([]HomeResult, len(jobs))
 	outcomes := make([]HomeOutcome, len(jobs))
 	err := pool.Run(opts.Workers, len(jobs), func(i int) error {
-		res, out, jerr := superviseJob(jobs[i], opts)
+		res, out, jerr := superviseJob(jobs[i], p, opts)
 		results[i], outcomes[i] = res, out
 		if jerr != nil && (!opts.Recover || opts.FailFast) {
 			return fmt.Errorf("stream: home %s: %w", jobs[i].ID, jerr)
@@ -298,47 +291,25 @@ func AggregateFleet(results []HomeResult, outcomes []HomeOutcome) FleetResult {
 // superviseJob runs one home under the retry policy. It returns the home's
 // result, its supervision record, and — for a quarantined home — the final
 // error.
-func superviseJob(job Job, opts FleetOptions) (HomeResult, HomeOutcome, error) {
+func superviseJob(job Job, p *AttemptPolicy, opts FleetOptions) (HomeResult, HomeOutcome, error) {
 	out := HomeOutcome{ID: job.ID}
-	retries := 0
-	if opts.Recover && opts.MaxRetries > 0 {
-		retries = opts.MaxRetries
-	}
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= p.Retries(); attempt++ {
 		if attempt > 0 {
 			opts.Clock.Sleep(opts.RetryBackoff.Delay(attempt - 1))
 		}
-		out.Attempts++
 		began := time.Now()
-		res, info, err := runAttempt(job, opts, attempt)
-		out.Duration += time.Since(began)
-		if info.restored {
-			out.Restores++
-		}
-		if info.checkpointDay > out.CheckpointDay {
-			out.CheckpointDay = info.checkpointDay
-		}
-		if info.days > out.Days {
-			out.Days = info.days
-		}
+		var res HomeResult
+		a, err := p.Open(job, &out, nil, nil)
 		if err == nil {
-			out.Status = OutcomeCompleted
-			if attempt > 0 {
-				out.Status = OutcomeRetried
-			}
-			if opts.CheckpointDir != "" {
-				// Barrier any in-flight async write, then remove: the
-				// checkpoint served its purpose, and a later fresh run must
-				// not resume from it.
-				if opts.ckSink != nil {
-					if ferr := opts.ckSink.Flush(job.ID); ferr != nil {
-						out.Err = ferr.Error()
-					}
-				}
-				if rerr := RemoveCheckpoint(opts.CheckpointDir, job.ID); rerr != nil {
-					out.Err = rerr.Error()
-				}
+			res, err = a.Run()
+			a.Close()
+		}
+		out.Duration += time.Since(began)
+		if err == nil {
+			out.Status = CompletedStatus(attempt > 0)
+			if rerr := p.Remove(job.ID); rerr != nil {
+				out.Err = rerr.Error()
 			}
 			return res, out, nil
 		}
@@ -347,147 +318,6 @@ func superviseJob(job Job, opts FleetOptions) (HomeResult, HomeOutcome, error) {
 	}
 	out.Status = OutcomeQuarantined
 	return HomeResult{ID: job.ID}, out, lastErr
-}
-
-// attemptInfo reports what one attempt did beyond its result.
-type attemptInfo struct {
-	restored      bool
-	checkpointDay int
-	// days counts the full days the attempt covered, including the days a
-	// restored checkpoint already carried — the attempt's day progress even
-	// when it fails mid-stream.
-	days int
-}
-
-// runAttempt drives one home from open to close, resuming from a persisted
-// checkpoint when one exists and the freshly opened source can seek to it.
-func runAttempt(job Job, opts FleetOptions, attempt int) (HomeResult, attemptInfo, error) {
-	var info attemptInfo
-	src, home, err := job.Open()
-	if err != nil {
-		return HomeResult{}, info, err
-	}
-	// The source may hold real resources (files, broker connections); every
-	// exit path must release them, including a failed OpenPipeOptions below.
-	defer func() { closeSource(src) }()
-
-	if opts.CheckpointDir != "" {
-		if opts.ckSink != nil {
-			// Restore decisions read the disk; every queued write must land
-			// first, and a write failure makes this attempt fail (retrying
-			// re-runs the flush) instead of silently resuming stale.
-			if ferr := opts.ckSink.Flush(job.ID); ferr != nil {
-				return HomeResult{}, info, ferr
-			}
-		}
-		ck, lerr := LoadCheckpoint(opts.CheckpointDir, job.ID)
-		if lerr == nil && ck != nil && ck.Days > 0 {
-			if rerr := RestoreFrom(src, home, ck); rerr == nil {
-				info.restored = true
-				info.checkpointDay = ck.Days
-				info.days = ck.Days
-			} else {
-				// A checkpoint that does not fit the job (or a source that
-				// cannot seek) restarts the home from scratch on fresh
-				// components — a half-restored home must never stream.
-				closeSource(src)
-				if src, home, err = job.Open(); err != nil {
-					return HomeResult{}, info, err
-				}
-			}
-		}
-		// Load errors (corrupt file) also restart from scratch: the next
-		// save overwrites the bad file.
-	}
-
-	// Faults perturb whole day frames on the (home, attempt, day)-keyed
-	// schedule — on the publishing side of the pipe, or in a wrapper around
-	// the source on the direct path.
-	plan := opts.Chaos.Plan(job.ID, attempt)
-	var drive BlockSource
-	if opts.Broker != "" {
-		pipe, perr := OpenPipeOptions(opts.Broker, SensorTopic(job.ID), src, PipeOptions{
-			Dial:           opts.Dial,
-			ProbeTimeout:   opts.ProbeTimeout,
-			ReceiveTimeout: opts.ReceiveTimeout,
-			Faults:         plan,
-			Epoch:          attempt,
-			Clock:          opts.Clock,
-		})
-		if perr != nil {
-			return HomeResult{}, info, perr
-		}
-		defer pipe.Close()
-		drive = pipe
-	} else {
-		drive = NewFaultSource(src, plan, opts.Clock)
-	}
-	if err := driveBlocks(drive, home, opts, &info); err != nil {
-		return HomeResult{}, info, err
-	}
-	res, err := home.Close()
-	return res, info, err
-}
-
-// driveBlocks drives a home one day-block at a time to end-of-stream — the
-// drive loop shared by the direct and broker transports — checkpointing at
-// the configured day-boundary cadence.
-func driveBlocks(src BlockSource, home *Home, opts FleetOptions, info *attemptInfo) error {
-	var blk DayBlock
-	for {
-		if err := src.NextBlock(&blk); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return err
-		}
-		if _, err := home.IngestDay(&blk); err != nil {
-			return err
-		}
-		done := blk.Day + 1
-		info.days = done
-		if opts.CheckpointDir != "" && done%opts.CheckpointEvery == 0 {
-			ck, cerr := home.Checkpoint()
-			if cerr != nil {
-				return cerr
-			}
-			if serr := saveFleetCheckpoint(opts, ck); serr != nil {
-				return serr
-			}
-			info.checkpointDay = done
-		}
-	}
-}
-
-// saveFleetCheckpoint routes a day-boundary save to the async sink when one
-// is wired, else writes synchronously before the next frame is ingested.
-func saveFleetCheckpoint(opts FleetOptions, ck *Checkpoint) error {
-	if opts.ckSink != nil {
-		return opts.ckSink.Save(ck)
-	}
-	return SaveCheckpoint(opts.CheckpointDir, ck)
-}
-
-// RestoreFrom applies a checkpoint to a freshly opened (source, home) pair:
-// the home's state is rebuilt and the source fast-forwarded to the
-// checkpoint's day cursor. Shared by the fleet supervisor's retry path and
-// the fleet service's shard rehydration.
-func RestoreFrom(src Source, home *Home, ck *Checkpoint) error {
-	seeker, ok := src.(DaySeeker)
-	if !ok {
-		return fmt.Errorf("stream: source cannot seek to day %d", ck.Days)
-	}
-	if err := home.Restore(ck); err != nil {
-		return err
-	}
-	return seeker.SeekDay(ck.Days)
-}
-
-// closeSource releases a source's resources when it holds any; plain
-// in-memory sources pass through.
-func closeSource(src Source) {
-	if c, ok := src.(io.Closer); ok {
-		c.Close()
-	}
 }
 
 // SensorTopic names a home's sensor stream on the fleet bus; the fleet-wide
