@@ -28,15 +28,6 @@ type Planner struct {
 	// WindowLen is the optimisation horizon I (Eq 17); the paper uses 10.
 	// Defaults to 10 when zero.
 	WindowLen int
-	// CostSurface, when non-nil, supplies the tabulated occupant-day cost
-	// surrogate instead of the planner computing it. The surface depends
-	// only on (trace, cost model) — not on the attacker's ADM estimate or
-	// strategy — so suite-level callers memoize one per (house, day,
-	// occupant) and share it across every planning cell. The provider
-	// receives the planner's trace and must return nil when the surface was
-	// built for a different trace (e.g. after the planner is re-pointed at
-	// a sub-trace); the planner then tabulates locally.
-	CostSurface func(tr *aras.Trace, day, occupant int) solver.CostFn
 	// Workers bounds the occupant-day planning fan-out: the cells of a
 	// campaign (one per occupant-day for SHATTER/Greedy, one per day for
 	// BIoTA) are independent and spread across a bounded worker pool.
@@ -46,35 +37,12 @@ type Planner struct {
 }
 
 // planScratch is one planning worker's reusable state: the DP workspace and
-// the local cost-surface scratch (used when no memoized surface is
-// injected). Scratch never influences results, only allocation counts, so
-// sharing one per worker preserves the Workers=1 ≡ Workers=N determinism
-// contract.
+// the lazily filled cost surface. Scratch never influences results, only
+// allocation counts, so sharing one per worker preserves the Workers=1 ≡
+// Workers=N determinism contract.
 type planScratch struct {
 	ws   solver.Workspace
-	surf surfaceScratch
-}
-
-// surfaceScratch is the reusable state of one occupant-day cost-surface
-// tabulation: the (zone, slot) table, and the cost terms of the zone row
-// being filled with the activity each was built for.
-type surfaceScratch struct {
-	tbl   []float64
-	acts  []home.ActivityID
-	terms []hvac.OccupantTerm
-}
-
-// term returns the index of the current row's cost term for act, building
-// the term on first use.
-func (sc *surfaceScratch) term(cost *hvac.CostModel, occupant int, z home.ZoneID, act home.ActivityID) int {
-	for i, a := range sc.acts {
-		if a == act {
-			return i
-		}
-	}
-	sc.acts = append(sc.acts, act)
-	sc.terms = append(sc.terms, cost.OccupantTerm(occupant, z, act))
-	return len(sc.terms) - 1
+	surf costSurface
 }
 
 // ErrNeedModel is returned when a strategy requires an ADM estimate.
@@ -113,80 +81,6 @@ func (pl *Planner) costFor(day, occupant int) solver.CostFn {
 		}
 		return pl.Cost.OccupantSlotCost(occupant, z, act, slot, w.TempF[slot])
 	}
-}
-
-// costTableFn tabulates the occupant-day cost surface of costFor into the
-// scratch's (zone, slot)-indexed table and returns a table-backed CostFn.
-// The schedule optimisers query the surrogate thousands of times per
-// occupant-day with the same (slot, zone) arguments; tabulating the
-// ≤ house-zones × SlotsPerDay distinct values once removes the repeated
-// HVAC cost-model evaluations from the hot path. Each zone row builds one
-// cost term for the zone's most intense activity and one per distinct
-// activity the occupant really conducts there, then evaluates the row slot
-// by slot.
-func (pl *Planner) costTableFn(day, occupant int, sc *surfaceScratch) solver.CostFn {
-	house := pl.Trace.House
-	nz := len(house.Zones)
-	n := nz * aras.SlotsPerDay
-	if cap(sc.tbl) < n {
-		sc.tbl = make([]float64, n)
-	}
-	tbl := sc.tbl[:n]
-	sc.tbl = tbl
-	temp := pl.Trace.Weather[day].TempF
-	actualZone := pl.Trace.Days[day].Zone[occupant]
-	actualAct := pl.Trace.Days[day].Act[occupant]
-	for z := home.ZoneID(0); int(z) < nz; z++ {
-		row := tbl[int(z)*aras.SlotsPerDay : (int(z)+1)*aras.SlotsPerDay]
-		if !z.Conditioned() {
-			clear(row)
-			continue
-		}
-		sc.acts, sc.terms = sc.acts[:0], sc.terms[:0]
-		intense := sc.term(pl.Cost, occupant, z, house.MostIntenseActivity(z))
-		for t := range row {
-			i := intense
-			if actualZone[t] == z {
-				i = sc.term(pl.Cost, occupant, z, actualAct[t])
-			}
-			row[t] = sc.terms[i].Cost(t, temp[t])
-		}
-	}
-	return CostFnFromTable(tbl)
-}
-
-// CostTable returns the freshly allocated (zone, slot)-indexed surrogate
-// cost surface for one occupant-day — the memoizable artifact behind
-// CostSurface.
-func (pl *Planner) CostTable(day, occupant int) []float64 {
-	var sc surfaceScratch
-	pl.costTableFn(day, occupant, &sc)
-	return sc.tbl
-}
-
-// CostFnFromTable wraps a CostTable surface as a solver.CostFn. The zone
-// bound is recovered from the table size, so surfaces built for any house
-// layout self-describe.
-func CostFnFromTable(tbl []float64) solver.CostFn {
-	nz := home.ZoneID(len(tbl) / aras.SlotsPerDay)
-	return func(slot int, z home.ZoneID) float64 {
-		if z < 0 || z >= nz {
-			return 0
-		}
-		return tbl[int(z)*aras.SlotsPerDay+slot]
-	}
-}
-
-// surfaceFor resolves the occupant-day cost surrogate: the injected
-// memoized surface when it covers the planner's trace, otherwise one
-// tabulated locally in sc.
-func (pl *Planner) surfaceFor(day, occupant int, sc *surfaceScratch) solver.CostFn {
-	if pl.CostSurface != nil {
-		if fn := pl.CostSurface(pl.Trace, day, occupant); fn != nil {
-			return fn
-		}
-	}
-	return pl.costTableFn(day, occupant, sc)
 }
 
 // allowedFor builds the capability AllowedFn for one occupant and day.
@@ -290,7 +184,7 @@ func (pl *Planner) PlanSHATTER() (*Plan, error) {
 func (pl *Planner) shatterDay(p *Plan, st *planScratch, d, o int, zones []home.ZoneID) (infeasible int, err error) {
 	bands := pl.Model.StayBands(o)
 	iLen := pl.windowLen()
-	cost := pl.surfaceFor(d, o, &st.surf)
+	cost := st.surf.reset(pl, d, o)
 	allowed := pl.allowedFor(d, o)
 	// The terminal closures are hoisted out of the window loop (one
 	// allocation per occupant-day instead of per window) and read the
@@ -386,7 +280,7 @@ func (pl *Planner) shatterDay(p *Plan, st *planScratch, d, o int, zones []home.Z
 // schedule's surrogate value falls below simply not attacking (δ = 0 is
 // always available to the attacker; hull constraints never apply to
 // reality-as-reported). cost is the occupant-day surrogate, supplied by the
-// caller so the tabulated surface is shared with the optimiser.
+// caller so the lazy surface is shared with the optimiser.
 func (pl *Planner) applyTruthFloor(p *Plan, day, occupant int, cost solver.CostFn) {
 	var scheduled, truth float64
 	for t := 0; t < aras.SlotsPerDay; t++ {
@@ -459,7 +353,7 @@ func (pl *Planner) PlanGreedy() (*Plan, error) {
 	scratch := make([]planScratch, pool.Width(pl.Workers, cells))
 	err := pool.RunIndexed(pl.Workers, cells, func(worker, i int) error {
 		d, o := i/occ, i%occ
-		cost := pl.surfaceFor(d, o, &scratch[worker].surf)
+		cost := scratch[worker].surf.reset(pl, d, o)
 		pl.greedyDay(p, d, o, zones, cost)
 		pl.applyTruthFloor(p, d, o, cost)
 		pl.sanitizeDay(p, d, o)
@@ -547,7 +441,7 @@ func (pl *Planner) PlanBIoTA() (*Plan, error) {
 	type biotaScratch struct {
 		counts []int
 		costs  []solver.CostFn
-		surfs  []surfaceScratch
+		surfs  []costSurface
 	}
 	days := pl.Trace.NumDays()
 	scratch := make([]biotaScratch, pool.Width(pl.Workers, days))
@@ -556,10 +450,10 @@ func (pl *Planner) PlanBIoTA() (*Plan, error) {
 		if st.counts == nil {
 			st.counts = make([]int, len(house.Zones))
 			st.costs = make([]solver.CostFn, len(house.Occupants))
-			st.surfs = make([]surfaceScratch, len(house.Occupants))
+			st.surfs = make([]costSurface, len(house.Occupants))
 		}
 		for o := range st.costs {
-			st.costs[o] = pl.surfaceFor(d, o, &st.surfs[o])
+			st.costs[o] = st.surfs[o].reset(pl, d, o)
 		}
 		for t := 0; t < aras.SlotsPerDay; t++ {
 			counts := st.counts

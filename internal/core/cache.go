@@ -8,7 +8,6 @@ import (
 	"github.com/acyd-lab/shatter/internal/aras"
 	"github.com/acyd-lab/shatter/internal/attack"
 	"github.com/acyd-lab/shatter/internal/hvac"
-	"github.com/acyd-lab/shatter/internal/solver"
 )
 
 // artifactCache memoizes the expensive artifacts the experiment grid shares:
@@ -47,14 +46,13 @@ type artifactKey struct {
 type artifactKind uint8
 
 const (
-	artifactADM       artifactKind = iota + 1 // (house, alg, trainDays) → *adm.Model
-	artifactSplit                             // (house, n=from<<16|to) → *aras.Trace
-	artifactBenign                            // (house, n=controller id) → hvac.Result
-	artifactTruth                             // (house) → *attack.Plan
-	artifactEpisodes                          // (house, n=occupant<<1|partial) → []adm.LabeledEpisode
-	artifactCostTable                         // (house, n=occupant<<16|day) → []float64
-	artifactPlan                              // (house, alg, n=flags, extra=strategy|capSig) → *campaign
-	artifactImpact                            // (house, alg=defender, n=flags, extra=campaign sig) → attack.Impact
+	artifactADM      artifactKind = iota + 1 // (house, alg, trainDays) → *adm.Model
+	artifactSplit                            // (house, n=from<<16|to) → *aras.Trace
+	artifactBenign                           // (house, n=controller id) → hvac.Result
+	artifactTruth                            // (house) → *attack.Plan
+	artifactEpisodes                         // (house, n=occupant<<1|partial) → []adm.LabeledEpisode
+	artifactPlan                             // (house, alg, n=flags, extra=strategy|capSig) → *campaign
+	artifactImpact                           // (house, alg=defender, n=flags, extra=campaign sig) → attack.Impact
 )
 
 type cacheEntry struct {
@@ -217,29 +215,6 @@ func (s *Suite) labeledEpisodes(house string, occupant int, partial bool) ([]adm
 	return v.([]adm.LabeledEpisode), nil
 }
 
-// costSurface returns the memoized occupant-day surrogate cost tables for a
-// house's full trace. The surface depends only on (trace, cost model), so
-// one table per (house, day, occupant) serves every strategy, backend, and
-// knowledge level that plans against the house. Planners re-pointed at a
-// different trace (sub-trace splits) get nil back and tabulate locally.
-func (s *Suite) costSurface(house string) func(tr *aras.Trace, day, occupant int) solver.CostFn {
-	full := s.trace(house)
-	return func(tr *aras.Trace, day, occupant int) solver.CostFn {
-		if tr != full {
-			return nil // surface indexes full-trace days only
-		}
-		v, err := s.cache.do(artifactKey{kind: artifactCostTable, house: house, n: occupant<<16 | day}, func() (any, error) {
-			pl := s.planner(house, nil, attack.Capability{})
-			pl.CostSurface = nil // build from first principles
-			return pl.CostTable(day, occupant), nil
-		})
-		if err != nil { // unreachable: the builder cannot fail
-			panic(err)
-		}
-		return attack.CostFnFromTable(v.([]float64))
-	}
-}
-
 func (s *Suite) buildLabeledEpisodes(house string, occupant int, partial bool) ([]adm.LabeledEpisode, error) {
 	test, err := s.testSplit(house)
 	if err != nil {
@@ -254,7 +229,7 @@ func (s *Suite) buildLabeledEpisodes(house string, occupant int, partial bool) (
 		capability.SlotAllowed = func(slot int) bool { return (slot/60)%2 == 0 }
 	}
 	pl := s.planner(house, nil, capability)
-	pl.Trace = test // the surface provider detects the sub-trace and opts out
+	pl.Trace = test
 	plan, err := pl.PlanBIoTA()
 	if err != nil {
 		return nil, err

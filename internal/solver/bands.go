@@ -3,7 +3,7 @@
 // the whole query surface flattens into per-(zone, arrival) arrays. A
 // trained ADM exports the table once (adm.Model.StayBands) and
 // OptimizeWindowBands consumes it with direct array loads — no interface
-// dispatch, no map lookups — inside the O(T·Z·A·Z) inner loop.
+// dispatch, no map lookups — inside the inner loop over live states.
 
 package solver
 
@@ -134,58 +134,54 @@ func OptimizeWindowBands(ws *Workspace, w Window, bands *StayBands, cost CostFn,
 
 	for t := 0; t < w.Length; t++ {
 		abs := w.StartSlot + t
-		for z := 0; z < d.nZ; z++ {
-			for a := 0; a < d.nA; a++ {
-				i := d.idx(t, z, a)
-				if !ws.live(i) {
+		lo, hi := d.plane(t)
+		for i := ws.nextLive(lo, hi); i < hi; i = ws.nextLive(i+1, hi) {
+			z, a := (i-lo)/d.nA, (i-lo)%d.nA
+			v := ws.value[i]
+			st.NodesExpanded++
+			zone := w.Zones[z]
+			arr := d.arrivalSlot(a)
+			dur := abs - arr // completed stay so far
+			c := bandCell(z, arr)
+			// Action 1: stay for slot t (new duration dur+1).
+			canStay := false
+			switch {
+			case c >= 0 && covered[c]:
+				canStay = dur+1 <= int(maxStay[c])
+			case z == d.startZI && a == 0 && !startCovered:
+				canStay = true // lenient inherited stay
+			}
+			if canStay && allowed(abs, zone) {
+				nv := v + cost(abs, zone)
+				if ni := d.idx(t+1, z, a); !ws.live(ni) || nv > ws.value[ni] {
+					ws.set(ni, nv, d.encode(z, a, actStay))
+				}
+			}
+			// Action 2: exit now (stay = dur) and occupy z' for slot t.
+			exitOK := c >= 0 && bands.inRangeCell(c, dur)
+			if z == d.startZI && a == 0 && !startCovered {
+				exitOK = true
+			}
+			if !exitOK || dur < 1 {
+				continue
+			}
+			for z2 := 0; z2 < d.nZ; z2++ {
+				if z2 == z {
 					continue
 				}
-				v := ws.value[i]
-				st.NodesExpanded++
-				zone := w.Zones[z]
-				arr := d.arrivalSlot(a)
-				dur := abs - arr // completed stay so far
-				c := bandCell(z, arr)
-				// Action 1: stay for slot t (new duration dur+1).
-				canStay := false
-				switch {
-				case c >= 0 && covered[c]:
-					canStay = dur+1 <= int(maxStay[c])
-				case z == d.startZI && a == 0 && !startCovered:
-					canStay = true // lenient inherited stay
-				}
-				if canStay && allowed(abs, zone) {
-					nv := v + cost(abs, zone)
-					if ni := d.idx(t+1, z, a); !ws.live(ni) || nv > ws.value[ni] {
-						ws.set(ni, nv, d.encode(z, a, actStay))
-					}
-				}
-				// Action 2: exit now (stay = dur) and occupy z' for slot t.
-				exitOK := c >= 0 && bands.inRangeCell(c, dur)
-				if z == d.startZI && a == 0 && !startCovered {
-					exitOK = true
-				}
-				if !exitOK || dur < 1 {
+				zone2 := w.Zones[z2]
+				if !allowed(abs, zone2) {
 					continue
 				}
-				for z2 := 0; z2 < d.nZ; z2++ {
-					if z2 == z {
-						continue
-					}
-					zone2 := w.Zones[z2]
-					if !allowed(abs, zone2) {
-						continue
-					}
-					// The new arrival must have cluster coverage so the
-					// occupant can eventually exit stealthily.
-					if c2 := bandCell(z2, abs); c2 < 0 || !covered[c2] {
-						continue
-					}
-					nv := v + cost(abs, zone2)
-					aIdx := t + 1 // arrival at abs
-					if ni := d.idx(t+1, z2, aIdx); !ws.live(ni) || nv > ws.value[ni] {
-						ws.set(ni, nv, d.encode(z, a, actMove))
-					}
+				// The new arrival must have cluster coverage so the
+				// occupant can eventually exit stealthily.
+				if c2 := bandCell(z2, abs); c2 < 0 || !covered[c2] {
+					continue
+				}
+				nv := v + cost(abs, zone2)
+				aIdx := t + 1 // arrival at abs
+				if ni := d.idx(t+1, z2, aIdx); !ws.live(ni) || nv > ws.value[ni] {
+					ws.set(ni, nv, d.encode(z, a, actMove))
 				}
 			}
 		}

@@ -138,7 +138,7 @@ func TestBandsDPMatchesOracleDP(t *testing.T) {
 	}
 }
 
-// TestWorkspaceEpochReuse asserts the epoch-stamped workspace gives the
+// TestWorkspaceEpochReuse asserts the reused workspace gives the
 // same answers across a chain of windows of varying sizes as fresh
 // workspaces do — stale cells from earlier (including larger) windows must
 // never leak into a later solve.
@@ -176,30 +176,69 @@ func TestWorkspaceEpochReuse(t *testing.T) {
 	}
 }
 
-// TestWorkspaceEpochWrap forces the uint32 epoch to wrap and checks the
-// stamp tables are cleared rather than aliasing stale cells.
-func TestWorkspaceEpochWrap(t *testing.T) {
-	oracle := mapOracle{home.Bedroom: {1, 30}, home.Kitchen: {2, 8}}
-	w := Window{
-		StartSlot: 60, Length: 5,
-		StartZone: home.Bedroom, StartArrival: 58,
+// TestWorkspaceClearsLiveSet solves a long window that reaches many cells,
+// then a shorter window on the same workspace: the second solve must match
+// a fresh workspace's, so no live bit of the longer window survives into
+// the shorter one's (smaller) table.
+func TestWorkspaceClearsLiveSet(t *testing.T) {
+	oracle := mapOracle{
+		home.Outside:    {1, 600},
+		home.Bedroom:    {1, 40},
+		home.Livingroom: {1, 40},
+		home.Kitchen:    {1, 40},
+		home.Bathroom:   {1, 40},
+	}
+	bands := bandsFromMap(oracle, len(allZones), 1440)
+	long := Window{
+		StartSlot: 200, Length: 40,
+		StartZone: home.Bedroom, StartArrival: 190,
 		Zones: allZones,
 	}
+	short := Window{
+		StartSlot: 900, Length: 7,
+		StartZone: home.Kitchen, StartArrival: 899,
+		Zones: allZones,
+	}
+	shortOracle := mapOracle{home.Kitchen: {1, 3}, home.Bathroom: {2, 30}}
+	shortBands := bandsFromMap(shortOracle, len(allZones), 1440)
 	var ws Workspace
-	if _, _, err := OptimizeWindowWS(&ws, w, oracle, zoneCost, allAllowed); err != nil {
-		t.Fatal(err)
-	}
-	ws.epoch = ^uint32(0) // next ensure wraps
-	got, _, err := OptimizeWindowWS(&ws, w, oracle, zoneCost, allAllowed)
+	_, stLong, err := OptimizeWindowWS(&ws, long, oracle, zoneCost, allAllowed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := OptimizeWindow(w, oracle, zoneCost, allAllowed)
+	if stLong.NodesExpanded < 1000 {
+		t.Fatalf("long window expanded only %d nodes; it must fill the live set", stLong.NodesExpanded)
+	}
+	got, st, err := OptimizeWindowWS(&ws, short, shortOracle, zoneCost, allAllowed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got.Value-want.Value) > 1e-12 || !reflect.DeepEqual(got.Zones, want.Zones) {
-		t.Fatalf("post-wrap solve diverges: %+v vs %+v", got, want)
+	want, wantSt, err := OptimizeWindow(short, shortOracle, zoneCost, allAllowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != wantSt || got.Feasible != want.Feasible || got.Value != want.Value ||
+		got.EndZone != want.EndZone || got.EndArrival != want.EndArrival ||
+		!reflect.DeepEqual(got.Zones, want.Zones) {
+		t.Fatalf("reused workspace diverges: %+v %+v vs fresh %+v %+v", got, st, want, wantSt)
+	}
+	// The same order through the tabulated pass.
+	if _, _, err := OptimizeWindowBands(&ws, long, bands, zoneCost, allAllowed); err != nil {
+		t.Fatal(err)
+	}
+	got, st, err = OptimizeWindowBands(&ws, short, shortBands, zoneCost, allAllowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh Workspace
+	want, wantSt, err = OptimizeWindowBands(&fresh, short, shortBands, zoneCost, allAllowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != wantSt || got.Feasible != want.Feasible || got.Value != want.Value ||
+		got.EndZone != want.EndZone || got.EndArrival != want.EndArrival ||
+		!reflect.DeepEqual(got.Zones, want.Zones) {
+		t.Fatalf("reused bands workspace diverges: %+v %+v vs fresh %+v %+v", got, st, want, wantSt)
 	}
 }
 

@@ -46,10 +46,10 @@ func effortCases() []effortCase {
 			StartSlot: 300, Length: 30, StartZone: home.Kitchen, StartArrival: 298, Zones: allZones}},
 		{name: "start-lenient", allowed: allAllowed, nodes: 36,
 			oracle: mapOracle{home.Kitchen: {2, 30}, home.Outside: {1, 600}},
-			w: Window{StartSlot: 20, Length: 6, StartZone: home.Bedroom, StartArrival: 15, Zones: allZones}},
+			w:      Window{StartSlot: 20, Length: 6, StartZone: home.Bedroom, StartArrival: 15, Zones: allZones}},
 		{name: "start-lenient-tight", allowed: noKitchen, nodes: 69,
 			oracle: mapOracle{home.Outside: {3, 5}, home.Bathroom: {2, 3}},
-			w: Window{StartSlot: 700, Length: 10, StartZone: home.Livingroom, StartArrival: 690, Zones: allZones}},
+			w:      Window{StartSlot: 700, Length: 10, StartZone: home.Livingroom, StartArrival: 690, Zones: allZones}},
 		{name: "infeasible-nothing-allowed", oracle: mapOracle{}, allowed: never, nodes: 1, w: Window{
 			StartSlot: 10, Length: 5, StartZone: home.Bedroom, StartArrival: 8, Zones: allZones}},
 		{name: "infeasible-terminal", oracle: covered, allowed: allAllowed, nodes: 226, w: Window{

@@ -20,6 +20,7 @@ package solver
 import (
 	"errors"
 	"math"
+	"math/bits"
 
 	"github.com/acyd-lab/shatter/internal/home"
 )
@@ -106,42 +107,36 @@ func (w Window) validate() error {
 
 // Workspace holds the DP state tables for OptimizeWindow so chained window
 // optimisations (the attack planner solves ~144 windows per occupant-day)
-// reuse one allocation instead of rebuilding the tables per call. Cells are
-// epoch-stamped: starting a window bumps the epoch instead of refilling the
-// value table with -inf, so a solve touches only the states it actually
-// reaches. A zero Workspace is ready to use; it grows to the largest window
-// seen. Not safe for concurrent use — give each goroutine its own.
+// reuse one allocation instead of rebuilding the tables per call. A live
+// bitset marks the (t, z, a) cells holding a value for the current window:
+// starting a window clears it (a few words), and the forward passes walk
+// only the live cells of each plane instead of scanning the dense table,
+// so a solve costs time proportional to the states it reaches. A zero
+// Workspace is ready to use; it grows to the largest window seen. Not safe
+// for concurrent use — give each goroutine its own.
 type Workspace struct {
 	value    []float64
 	choice   []int32
-	stamp    []uint32
-	epoch    uint32
+	liveSet  []uint64
 	zones    []home.ZoneID
 	zoneBase []int
 }
 
-// ensure sizes the flattened (t, z, a) tables and opens a new epoch; every
-// cell whose stamp predates the epoch reads as unset (-inf).
+// ensure sizes the flattened (t, z, a) tables and clears the live set;
+// every cell reads as unset (-inf) until set.
 func (ws *Workspace) ensure(cells int) {
 	if cap(ws.value) < cells {
 		ws.value = make([]float64, cells)
 		ws.choice = make([]int32, cells)
-		ws.stamp = make([]uint32, cells)
-		ws.epoch = 0
 	}
 	ws.value = ws.value[:cells]
 	ws.choice = ws.choice[:cells]
-	ws.stamp = ws.stamp[:cells]
-	ws.epoch++
-	if ws.epoch == 0 {
-		// Stamp wrap-around (once per 2³² windows): old stamps could alias
-		// the restarted epoch, so clear them and start over.
-		s := ws.stamp[:cap(ws.stamp)]
-		for i := range s {
-			s[i] = 0
-		}
-		ws.epoch = 1
+	words := (cells + 63) / 64
+	if cap(ws.liveSet) < words {
+		ws.liveSet = make([]uint64, words)
 	}
+	ws.liveSet = ws.liveSet[:words]
+	clear(ws.liveSet)
 }
 
 // zonesBuf returns the reusable Schedule.Zones backing array.
@@ -161,15 +156,29 @@ func (ws *Workspace) zoneBaseBuf(n int) []int {
 	return ws.zoneBase[:n]
 }
 
-// set records an improved value for cell i under the current epoch.
+// set records an improved value for cell i and marks it live.
 func (ws *Workspace) set(i int, v float64, c int32) {
 	ws.value[i] = v
 	ws.choice[i] = c
-	ws.stamp[i] = ws.epoch
+	ws.liveSet[i>>6] |= 1 << (i & 63)
 }
 
 // live reports whether cell i holds a value for the current window.
-func (ws *Workspace) live(i int) bool { return ws.stamp[i] == ws.epoch }
+func (ws *Workspace) live(i int) bool { return ws.liveSet[i>>6]&(1<<(i&63)) != 0 }
+
+// nextLive returns the first live cell in [lo, hi), or hi when there is
+// none. Walking a plane with it visits the live cells in ascending index
+// order — the order of the dense scan — so ties resolve identically.
+func (ws *Workspace) nextLive(lo, hi int) int {
+	for lo < hi {
+		w := lo >> 6
+		if word := ws.liveSet[w] >> (lo & 63); word != 0 {
+			return min(lo+bits.TrailingZeros64(word), hi)
+		}
+		lo = (w + 1) << 6
+	}
+	return hi
+}
 
 // dp carries one window solve's indexing state, shared between the two
 // forward-pass variants (interface oracle and tabulated bands) and the
@@ -186,8 +195,8 @@ const (
 	actMove = 1
 )
 
-// start validates the window, opens a workspace epoch, and seeds the start
-// state.
+// start validates the window, clears the workspace's live set, and seeds
+// the start state.
 func (d *dp) start(ws *Workspace, w Window) error {
 	if err := w.validate(); err != nil {
 		return err
@@ -223,6 +232,13 @@ func (d *dp) arrivalSlot(aIdx int) int {
 
 func (d *dp) idx(t, z, a int) int { return (t*d.nZ+z)*d.nA + a }
 
+// plane returns the cell range [lo, hi) of the states before slot t; cell
+// lo+z·nA+a is state (z, a).
+func (d *dp) plane(t int) (lo, hi int) {
+	lo = d.idx(t, 0, 0)
+	return lo, lo + d.nZ*d.nA
+}
+
 func (d *dp) encode(z, a, action int) int32 { return int32(action*d.nZ*d.nA + z*d.nA + a) }
 
 func (d *dp) decode(c int32) (z, a int) {
@@ -237,24 +253,20 @@ func (d *dp) finish(st Stats) (Schedule, Stats, error) {
 	w, ws := d.w, d.ws
 	negInf := math.Inf(-1)
 	bestV, bestScore, bestZ, bestA := negInf, negInf, -1, -1
-	for z := 0; z < d.nZ; z++ {
-		for a := 0; a < d.nA; a++ {
-			i := d.idx(w.Length, z, a)
-			if !ws.live(i) {
-				continue
-			}
-			tv := ws.value[i]
-			if w.TerminalOK != nil && !w.TerminalOK(w.Zones[z], d.arrivalSlot(a)) {
-				continue
-			}
-			score := tv
-			if w.TerminalBonus != nil {
-				score += w.TerminalBonus(w.Zones[z], d.arrivalSlot(a))
-			}
-			if score > bestScore {
-				bestScore = score
-				bestV, bestZ, bestA = tv, z, a
-			}
+	lo, hi := d.plane(w.Length)
+	for i := ws.nextLive(lo, hi); i < hi; i = ws.nextLive(i+1, hi) {
+		z, a := (i-lo)/d.nA, (i-lo)%d.nA
+		tv := ws.value[i]
+		if w.TerminalOK != nil && !w.TerminalOK(w.Zones[z], d.arrivalSlot(a)) {
+			continue
+		}
+		score := tv
+		if w.TerminalBonus != nil {
+			score += w.TerminalBonus(w.Zones[z], d.arrivalSlot(a))
+		}
+		if score > bestScore {
+			bestScore = score
+			bestV, bestZ, bestA = tv, z, a
 		}
 	}
 	zones := ws.zonesBuf(w.Length)
@@ -316,58 +328,54 @@ func OptimizeWindowWS(ws *Workspace, w Window, oracle Oracle, cost CostFn, allow
 
 	for t := 0; t < w.Length; t++ {
 		abs := w.StartSlot + t
-		for z := 0; z < d.nZ; z++ {
-			for a := 0; a < d.nA; a++ {
-				i := d.idx(t, z, a)
-				if !ws.live(i) {
+		lo, hi := d.plane(t)
+		for i := ws.nextLive(lo, hi); i < hi; i = ws.nextLive(i+1, hi) {
+			z, a := (i-lo)/d.nA, (i-lo)%d.nA
+			v := ws.value[i]
+			st.NodesExpanded++
+			zone := w.Zones[z]
+			arr := d.arrivalSlot(a)
+			dur := abs - arr // completed stay so far
+			// Action 1: stay for slot t (new duration dur+1).
+			maxStay, covered := oracle.MaxStay(w.Occupant, zone, arr)
+			canStay := false
+			switch {
+			case covered:
+				canStay = dur+1 <= maxStay
+			case z == d.startZI && a == 0 && !startCovered:
+				canStay = true // lenient inherited stay
+			}
+			if canStay && allowed(abs, zone) {
+				nv := v + cost(abs, zone)
+				if ni := d.idx(t+1, z, a); !ws.live(ni) || nv > ws.value[ni] {
+					ws.set(ni, nv, d.encode(z, a, actStay))
+				}
+			}
+			// Action 2: exit now (stay = dur) and occupy z' for slot t.
+			exitOK := oracle.InRangeStay(w.Occupant, zone, arr, dur)
+			if z == d.startZI && a == 0 && !startCovered {
+				exitOK = true
+			}
+			if !exitOK || dur < 1 {
+				continue
+			}
+			for z2 := 0; z2 < d.nZ; z2++ {
+				if z2 == z {
 					continue
 				}
-				v := ws.value[i]
-				st.NodesExpanded++
-				zone := w.Zones[z]
-				arr := d.arrivalSlot(a)
-				dur := abs - arr // completed stay so far
-				// Action 1: stay for slot t (new duration dur+1).
-				maxStay, covered := oracle.MaxStay(w.Occupant, zone, arr)
-				canStay := false
-				switch {
-				case covered:
-					canStay = dur+1 <= maxStay
-				case z == d.startZI && a == 0 && !startCovered:
-					canStay = true // lenient inherited stay
-				}
-				if canStay && allowed(abs, zone) {
-					nv := v + cost(abs, zone)
-					if ni := d.idx(t+1, z, a); !ws.live(ni) || nv > ws.value[ni] {
-						ws.set(ni, nv, d.encode(z, a, actStay))
-					}
-				}
-				// Action 2: exit now (stay = dur) and occupy z' for slot t.
-				exitOK := oracle.InRangeStay(w.Occupant, zone, arr, dur)
-				if z == d.startZI && a == 0 && !startCovered {
-					exitOK = true
-				}
-				if !exitOK || dur < 1 {
+				zone2 := w.Zones[z2]
+				if !allowed(abs, zone2) {
 					continue
 				}
-				for z2 := 0; z2 < d.nZ; z2++ {
-					if z2 == z {
-						continue
-					}
-					zone2 := w.Zones[z2]
-					if !allowed(abs, zone2) {
-						continue
-					}
-					// The new arrival must have cluster coverage so the
-					// occupant can eventually exit stealthily.
-					if _, ok := oracle.MaxStay(w.Occupant, zone2, abs); !ok {
-						continue
-					}
-					nv := v + cost(abs, zone2)
-					aIdx := t + 1 // arrival at abs
-					if ni := d.idx(t+1, z2, aIdx); !ws.live(ni) || nv > ws.value[ni] {
-						ws.set(ni, nv, d.encode(z, a, actMove))
-					}
+				// The new arrival must have cluster coverage so the
+				// occupant can eventually exit stealthily.
+				if _, ok := oracle.MaxStay(w.Occupant, zone2, abs); !ok {
+					continue
+				}
+				nv := v + cost(abs, zone2)
+				aIdx := t + 1 // arrival at abs
+				if ni := d.idx(t+1, z2, aIdx); !ws.live(ni) || nv > ws.value[ni] {
+					ws.set(ni, nv, d.encode(z, a, actMove))
 				}
 			}
 		}
