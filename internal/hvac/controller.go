@@ -64,7 +64,13 @@ func freshAirForCO2(genFt3PerMin, volumeFt3, zoneCO2, outCO2, setpoint float64) 
 	if volumeFt3 <= 0 {
 		return 0
 	}
-	genPPM := genFt3PerMin * SlotMinutes / volumeFt3 * 1e6
+	return freshAirForPPM(genFt3PerMin*SlotMinutes/volumeFt3*1e6, volumeFt3, zoneCO2, outCO2, setpoint)
+}
+
+// freshAirForPPM is freshAirForCO2 after the generation is converted to
+// ppm per slot (genPPM) for a zone of positive volume; the day stepper
+// converts once per segment and calls this per slot.
+func freshAirForPPM(genPPM, volumeFt3, zoneCO2, outCO2, setpoint float64) float64 {
 	// Without ventilation the zone would reach:
 	unforced := zoneCO2 + genPPM
 	if unforced <= setpoint {
@@ -78,8 +84,28 @@ func freshAirForCO2(genFt3PerMin, volumeFt3, zoneCO2, outCO2, setpoint float64) 
 		return volumeFt3 / 60
 	}
 	r := (unforced - setpoint) / den
-	r = math.Min(r, 1)
+	r = fmin(r, 1)
 	return r * volumeFt3 / SlotMinutes
+}
+
+// fmax is math.Max, bit for bit on every input, in a form the compiler
+// inlines (math.Max is an assembly call on amd64). Without NaN operands
+// the builtin max agrees with math.Max, signed zeros and infinities
+// included; NaN operands go to math.Max for its canonical NaN and its
+// Max(+Inf, NaN) = +Inf rule.
+func fmax(x, y float64) float64 {
+	if x != x || y != y { // a NaN operand
+		return math.Max(x, y)
+	}
+	return max(x, y)
+}
+
+// fmin is math.Min, bit for bit on every input; see fmax.
+func fmin(x, y float64) float64 {
+	if x != x || y != y { // a NaN operand
+		return math.Min(x, y)
+	}
+	return min(x, y)
 }
 
 // supplyAirForHeat solves Eq 2 for the supply airflow that removes the

@@ -64,7 +64,7 @@ func oracleMixedAirTempF(dem hvac.Demand, outdoorF, returnF float64) float64 {
 // kernelHouses returns the houses the kernel test sweeps: ARAS A and B,
 // eight SynthFleet homes (4-11 zones, 1-3 occupants), and a copy of A whose
 // kitchen has zero volume, which drives the fresh-air demand to NaN.
-func kernelHouses(t *testing.T) []*home.House {
+func kernelHouses(t testing.TB) []*home.House {
 	t.Helper()
 	houses := []*home.House{home.MustHouse("A"), home.MustHouse("B")}
 	for _, sp := range scenario.SynthFleet(8, 20230427) {

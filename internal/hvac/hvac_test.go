@@ -39,6 +39,24 @@ func TestParamsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero duct limit should be invalid")
 	}
+	// Non-finite fields: NaN slips past every ordered comparison, and each
+	// field feeds the bill, so each must be rejected on its own.
+	fields := []*float64{&bad.CO2SetpointPPM, &bad.ZoneSetpointF, &bad.SupplyAirTempF,
+		&bad.EnvelopeUAWPerF2, &bad.FanWPerCFM, &bad.BaseLoadW, &bad.MaxZoneCFM}
+	for i, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad = p
+			*f = v
+			if err := bad.Validate(); err == nil {
+				t.Errorf("field %d = %v accepted", i, v)
+			}
+		}
+	}
+	bad = p
+	bad.CO2SetpointPPM = math.NaN()
+	if _, err := NewSim(home.MustHouse("A"), &SHATTERController{Params: p}, bad, DefaultPricing()); err == nil {
+		t.Error("NewSim accepted NaN params")
+	}
 }
 
 func TestPricingRateAt(t *testing.T) {

@@ -9,7 +9,11 @@
 // power W, energy kWh, 1-minute slots.
 package hvac
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // SensibleHeatFactor is the paper's 0.3167 W/(CFM·°F) coefficient relating
 // airflow, temperature difference, and sensible heat (Eq 2; equivalently
@@ -53,8 +57,26 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports configuration errors a caller should not ignore.
+// Validate reports configuration errors a caller should not ignore. Every
+// field must be finite: a NaN passes each ordered comparison below (all
+// compare false) and would otherwise run as a silent NaN bill.
 func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"CO2SetpointPPM", p.CO2SetpointPPM},
+		{"ZoneSetpointF", p.ZoneSetpointF},
+		{"SupplyAirTempF", p.SupplyAirTempF},
+		{"EnvelopeUAWPerF2", p.EnvelopeUAWPerF2},
+		{"FanWPerCFM", p.FanWPerCFM},
+		{"BaseLoadW", p.BaseLoadW},
+		{"MaxZoneCFM", p.MaxZoneCFM},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("hvac: %s is %v, want a finite value", f.name, f.v)
+		}
+	}
 	if p.SupplyAirTempF >= p.ZoneSetpointF {
 		return errors.New("hvac: supply air temperature must be below the zone setpoint")
 	}

@@ -1,11 +1,14 @@
 package hvac
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/acyd-lab/shatter/internal/aras"
+	"github.com/acyd-lab/shatter/internal/boolcol"
 	"github.com/acyd-lab/shatter/internal/home"
 )
 
@@ -37,6 +40,11 @@ type DayInput struct {
 // positioned mid-day; day batching only composes with whole-day advancement.
 var ErrNotDayBoundary = errors.New("hvac: StepDay only at a day boundary")
 
+// ErrNonFiniteWeather is returned when a DayInput weather column holds a
+// NaN or an infinity. StepDay refuses such a day before touching any state,
+// so a bad frame surfaces as a typed error instead of a NaN bill.
+var ErrNonFiniteWeather = errors.New("hvac: non-finite weather")
+
 func (in *DayInput) validate(house *home.House) error {
 	if len(in.OutdoorTempF) != aras.SlotsPerDay || len(in.OutdoorCO2PPM) != aras.SlotsPerDay {
 		return fmt.Errorf("hvac: DayInput weather columns sized %d/%d, want %d",
@@ -63,20 +71,131 @@ func (in *DayInput) validate(house *home.House) error {
 			return fmt.Errorf("hvac: DayInput appliance %d column not %d slots", a, aras.SlotsPerDay)
 		}
 	}
+	if t := firstNonFinite(in.OutdoorTempF); t >= 0 {
+		return fmt.Errorf("%w: outdoor temperature %v at slot %d", ErrNonFiniteWeather, in.OutdoorTempF[t], t)
+	}
+	if t := firstNonFinite(in.OutdoorCO2PPM); t >= 0 {
+		return fmt.Errorf("%w: outdoor CO2 %v at slot %d", ErrNonFiniteWeather, in.OutdoorCO2PPM[t], t)
+	}
 	return nil
+}
+
+// firstNonFinite returns the index of col's first NaN or ±Inf (all
+// exponent bits set), or -1.
+func firstNonFinite(col []float64) int {
+	const exp = 0x7ff << 52
+	for t, v := range col {
+		if math.Float64bits(v)&exp == exp {
+			return t
+		}
+	}
+	return -1
+}
+
+// A day's columns are compared eight slots per word, so the day must be a
+// whole number of 8-slot groups.
+const _ uint = -(aras.SlotsPerDay % 8)
+
+const (
+	slotGroups = aras.SlotsPerDay / 8         // 8-slot groups per day
+	maskWords  = (aras.SlotsPerDay + 63) / 64 // words of a one-bit-per-slot mask
+)
+
+// changeMask has bit t set when some believed or actual column of the day
+// differs between slots t-1 and t, so the set bits are the starts of the
+// day's constant segments (slot 0 always starts one; its bit is unused).
+type changeMask [maskWords]uint64
+
+// next returns the first slot after t whose bit is set, or
+// aras.SlotsPerDay: the exclusive end of the segment holding t.
+func (m *changeMask) next(t int) int {
+	t++
+	if t >= aras.SlotsPerDay {
+		return aras.SlotsPerDay
+	}
+	w := t >> 6
+	if word := m[w] >> (t & 63); word != 0 {
+		return t + bits.TrailingZeros64(word)
+	}
+	for w++; w < maskWords; w++ {
+		if m[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(m[w])
+		}
+	}
+	return aras.SlotsPerDay
+}
+
+// build fills the mask from every believed and actual column of in. Bool
+// columns are XOR-ed with themselves shifted by one slot, eight slots per
+// word, into diff (byte i of diff[g] is 1 where some bool column changes
+// at slot 8g+i), which is then packed into the mask; int columns set their
+// bits slot by slot.
+func (m *changeMask) build(in *DayInput) {
+	var diff [slotGroups]uint64
+	for a := range in.BelievedAppliance {
+		orBoolChanges(&diff, in.BelievedAppliance[a], in.ActualAppliance[a])
+	}
+	*m = changeMask{}
+	for g, x := range diff {
+		m[g>>3] |= uint64(boolcol.Pack8(x)) << (8 * (g & 7))
+	}
+	for o := range in.BelievedZone {
+		markChanges(m, in.BelievedZone[o])
+		markChanges(m, in.BelievedAct[o])
+		markChanges(m, in.ActualZone[o])
+		markChanges(m, in.ActualAct[o])
+	}
+}
+
+// orBoolChanges ORs the slot-to-slot changes of two bool columns into
+// diff, one 8-slot group per word: each group's bytes XOR the same bytes
+// one slot earlier (the group shifted up a byte, with the previous group's
+// last byte below). Slot 0 is compared with itself.
+func orBoolChanges(diff *[slotGroups]uint64, c1, c2 []bool) {
+	b1 := boolcol.Bytes(c1)[:aras.SlotsPerDay]
+	b2 := boolcol.Bytes(c2)[:aras.SlotsPerDay]
+	p1, p2 := uint64(b1[0]), uint64(b2[0])
+	for g := range diff {
+		x1, x2 := binary.LittleEndian.Uint64(b1), binary.LittleEndian.Uint64(b2)
+		diff[g] |= (x1 ^ (x1<<8 | p1)) | (x2 ^ (x2<<8 | p2))
+		p1, p2 = x1>>56, x2>>56
+		b1, b2 = b1[8:], b2[8:]
+	}
+}
+
+// markChanges sets bit t of m wherever col[t] != col[t-1]. Columns are
+// piecewise constant, so it tests eight slots with one branch and walks
+// only the groups that hold a change.
+func markChanges[T ~int](m *changeMask, col []T) {
+	c := (*[aras.SlotsPerDay]T)(col)
+	prev := c[0]
+	for g := 0; g < slotGroups; g++ {
+		w := (*[8]T)(c[8*g:])
+		if (w[0]^prev)|(w[1]^w[0])|(w[2]^w[1])|(w[3]^w[2])|(w[4]^w[3])|(w[5]^w[4])|(w[6]^w[5])|(w[7]^w[6]) != 0 {
+			for i, v := range w {
+				if v != prev {
+					t := 8*g + i
+					m[t>>6] |= 1 << (t & 63)
+				}
+				prev = v
+			}
+		}
+		prev = w[7]
+	}
 }
 
 // dayScratch holds StepDay's reusable per-zone/per-appliance working state.
 type dayScratch struct {
+	envUA    []float64 // per zone: EnvelopeUAWPerF2·AreaFt2
 	heatBase []float64 // believed occupant+appliance heat, before envelope
-	genBel   []float64 // believed CO2 generation (controller's qf input)
-	genAct   []float64 // ground-truth CO2 generation (plant mass balance)
-	genPPM   []float64 // genAct converted to ppm per slot, per zone
+	genBel   []float64 // believed CO2 generation (controller's qf input), then ppm per slot
+	genAct   []float64 // ground-truth CO2 generation (plant mass balance), then ppm per slot
 	fresh    []float64 // delivered fresh CFM this slot, per zone
 	occupied []bool
-	zonesBel []int // conditioned zones with believed occupancy, ascending
-	zonesCO2 []int // conditioned zones needing a CO2 update, ascending
-	onAppl   []int // actually-on appliances, ascending
+	zonesBel []int     // conditioned zones with believed occupancy, ascending
+	zonesCO2 []int     // conditioned zones needing a CO2 update, ascending
+	onW      []float64 // PowerW of the actually-on appliances, ascending
+	onKWh    []float64 // their per-slot kWh
 
 	// Generic-controller fallback: per-slot StepInput views over the columns.
 	believed    []OccupantObs
@@ -88,10 +207,10 @@ type dayScratch struct {
 func (sc *dayScratch) ensure(house *home.House) {
 	nz, occ, appl := len(house.Zones), len(house.Occupants), len(house.Appliances)
 	if len(sc.heatBase) != nz {
+		sc.envUA = make([]float64, nz)
 		sc.heatBase = make([]float64, nz)
 		sc.genBel = make([]float64, nz)
 		sc.genAct = make([]float64, nz)
-		sc.genPPM = make([]float64, nz)
 		sc.fresh = make([]float64, nz)
 		sc.occupied = make([]bool, nz)
 		sc.zonesBel = make([]int, 0, nz)
@@ -104,7 +223,8 @@ func (sc *dayScratch) ensure(house *home.House) {
 	if len(sc.believedApp) != appl {
 		sc.believedApp = make([]bool, appl)
 		sc.actualApp = make([]bool, appl)
-		sc.onAppl = make([]int, 0, appl)
+		sc.onW = make([]float64, 0, appl)
+		sc.onKWh = make([]float64, 0, appl)
 	}
 }
 
@@ -116,7 +236,8 @@ func (sc *dayScratch) ensure(house *home.House) {
 // constant, so a day has ~10² segments rather than 1440 independent slots)
 // while keeping every floating-point accumulation in the per-slot order.
 // Controllers other than SHATTERController fall back to per-slot Step calls
-// over reused scratch, which is the equivalence definition itself.
+// over reused scratch, which is the equivalence definition itself. A day
+// with non-finite weather is refused with ErrNonFiniteWeather.
 func (s *Sim) StepDay(in *DayInput) error {
 	if s.slot != 0 {
 		return fmt.Errorf("%w (day %d slot %d)", ErrNotDayBoundary, s.day, s.slot)
@@ -152,29 +273,45 @@ func (s *Sim) StepDay(in *DayInput) error {
 }
 
 // stepDaySHATTER is the segment-amortized day stepper for the paper's
-// controller. Within a segment — a maximal slot run where every believed and
-// actual column is constant — the per-zone occupant/appliance loads, the
-// active-zone sets, and the plant's CO2 generation terms are fixed, so they
-// are derived once (with additions in exactly the per-slot order, keeping
-// the floating-point results bit-identical) and only the weather-, CO2- and
-// pricing-dependent terms run per slot.
+// controller. The day's change mask splits it into segments — maximal slot
+// runs where every believed and actual column is constant — over which the
+// per-zone occupant/appliance loads, the active-zone sets, and the plant's
+// CO2 generation terms are fixed, so they are derived once per segment
+// (with additions in exactly the per-slot order) and only the weather-,
+// CO2- and pricing-dependent terms run per slot. Every hoisted value is
+// the same expression on the same operands as in Step and
+// SHATTERController.Plan, the energy and cost sums run in locals in the
+// per-slot order, and fmin/fmax are math.Min/math.Max bit for bit, so the
+// results stay bit-identical.
 func (s *Sim) stepDaySHATTER(c *SHATTERController, in *DayInput) {
-	cp := c.Params  // the controller's planning parameters
-	sp := s.params  // the plant's metering parameters
+	cp := c.Params // the controller's planning parameters
+	sp := s.params // the plant's metering parameters
+	pr := &s.pricing
 	sc := &s.scratch
-	d := s.day
+	house := s.house
+	zoneCO2 := s.zoneCO2
 	// Day-boundary bookkeeping, exactly as Step's slot-0 branch.
-	for zi := range s.zoneCO2 {
-		if s.zoneCO2[zi] == 0 {
-			s.zoneCO2[zi] = in.OutdoorCO2PPM[0]
+	for zi := range zoneCO2 {
+		if zoneCO2[zi] == 0 {
+			zoneCO2[zi] = in.OutdoorCO2PPM[0]
 		}
 	}
-	s.peakKWh = 0
-	s.res.DailyCostUSD = append(s.res.DailyCostUSD, 0)
-	s.res.DailyKWh = append(s.res.DailyKWh, 0)
+	// The day's sums start at zero like Step's freshly appended entries.
+	var dayKWh, dayCost, peakKWh float64
+	zoneKWh := s.res.ZoneCoilKWh
+	coilKWh, fanKWh, applKWh, baseKWh := s.res.CoilKWh, s.res.FanKWh, s.res.ApplianceKWh, s.res.BaseKWh
+	// supplyAirForHeat's temperature difference and divisor.
+	dt := cp.ZoneSetpointF - cp.SupplyAirTempF
+	heatDen := SensibleHeatFactor * dt
+	baseSlotKWh := sp.BaseLoadW * SlotMinutes / 60000
+	for zi := range house.Zones {
+		sc.envUA[zi] = cp.EnvelopeUAWPerF2 * house.Zones[zi].AreaFt2
+	}
 
+	var mask changeMask
+	mask.build(in)
 	for t0 := 0; t0 < aras.SlotsPerDay; {
-		t1 := segmentEnd(in, t0)
+		t1 := mask.next(t0)
 		// Per-zone believed loads, occupant adds then appliance adds — the
 		// accumulation order SHATTERController.Plan uses.
 		for zi := range sc.heatBase {
@@ -186,15 +323,15 @@ func (s *Sim) stepDaySHATTER(c *SHATTERController, in *DayInput) {
 			if !z.Conditioned() {
 				continue
 			}
-			demo := s.house.Occupants[o].Demographics
+			demo := house.Occupants[o].Demographics
 			act := home.ActivityByID(in.BelievedAct[o][t0])
 			sc.heatBase[z] += act.HeatW(demo)
 			sc.genBel[z] += act.CO2Ft3PerMin(demo)
 			sc.occupied[z] = true
 		}
-		for ai := range s.house.Appliances {
+		for ai := range house.Appliances {
 			if in.BelievedAppliance[ai][t0] {
-				appl := &s.house.Appliances[ai]
+				appl := &house.Appliances[ai]
 				sc.heatBase[appl.Zone] += appl.HeatW()
 			}
 		}
@@ -204,114 +341,102 @@ func (s *Sim) stepDaySHATTER(c *SHATTERController, in *DayInput) {
 			if !z.Conditioned() {
 				continue
 			}
-			demo := s.house.Occupants[o].Demographics
+			demo := house.Occupants[o].Demographics
 			act := home.ActivityByID(in.ActualAct[o][t0])
 			sc.genAct[z] += act.CO2Ft3PerMin(demo)
 		}
 		// Active sets, ascending zone/appliance index so skipped entries
-		// match the zero entries the per-slot loops skip.
-		sc.zonesBel, sc.zonesCO2, sc.onAppl = sc.zonesBel[:0], sc.zonesCO2[:0], sc.onAppl[:0]
-		for zi := range s.house.Zones {
-			z := &s.house.Zones[zi]
+		// match the zero entries the per-slot loops skip. Generation is
+		// converted to ppm per slot here, as freshAirForCO2 and stepCO2 do.
+		sc.zonesBel, sc.zonesCO2 = sc.zonesBel[:0], sc.zonesCO2[:0]
+		for zi := range house.Zones {
+			z := &house.Zones[zi]
 			if !z.ID.Conditioned() {
 				continue
 			}
 			if sc.occupied[zi] {
 				sc.zonesBel = append(sc.zonesBel, zi)
+				if !(z.VolumeFt3 <= 0) {
+					sc.genBel[zi] = sc.genBel[zi] * SlotMinutes / z.VolumeFt3 * 1e6
+				}
 			}
 			// Zones with neither delivered fresh air nor generation keep
 			// their CO2 unchanged ((1-0)·C + 0·out + 0 = C), so only zones
 			// with a possible demand or positive generation need the update.
 			if z.VolumeFt3 > 0 && (sc.occupied[zi] || sc.genAct[zi] != 0) {
 				sc.zonesCO2 = append(sc.zonesCO2, zi)
-				sc.genPPM[zi] = sc.genAct[zi] * SlotMinutes / z.VolumeFt3 * 1e6
+				sc.genAct[zi] = sc.genAct[zi] * SlotMinutes / z.VolumeFt3 * 1e6
 			}
 		}
-		for ai := range s.house.Appliances {
+		sc.onW, sc.onKWh = sc.onW[:0], sc.onKWh[:0]
+		for ai := range house.Appliances {
 			if in.ActualAppliance[ai][t0] {
-				sc.onAppl = append(sc.onAppl, ai)
+				w := house.Appliances[ai].PowerW
+				sc.onW = append(sc.onW, w)
+				sc.onKWh = append(sc.onKWh, w*SlotMinutes/60000)
 			}
 		}
 
 		for t := t0; t < t1; t++ {
 			outT, outC := in.OutdoorTempF[t], in.OutdoorCO2PPM[t]
+			envDT := fmax(0, outT-cp.ZoneSetpointF)
 			var slotW float64
 			for _, zi := range sc.zonesBel {
-				z := &s.house.Zones[zi]
+				vol := house.Zones[zi].VolumeFt3
 				// Plan: envelope gain on top of the segment's base load.
-				heat := sc.heatBase[zi] + cp.EnvelopeUAWPerF2*z.AreaFt2*math.Max(0, outT-cp.ZoneSetpointF)
-				qs := supplyAirForHeat(heat, cp.ZoneSetpointF, cp.SupplyAirTempF)
-				qf := freshAirForCO2(sc.genBel[zi], z.VolumeFt3, s.zoneCO2[zi], outC, cp.CO2SetpointPPM)
-				q := math.Min(math.Max(qs, qf), cp.MaxZoneCFM)
-				fresh := math.Min(qf, q)
+				heat := sc.heatBase[zi] + sc.envUA[zi]*envDT
+				qs := 0.0 // supplyAirForHeat; a NaN heat divides, as there
+				if !(dt <= 0 || heat <= 0) {
+					qs = heat / heatDen
+				}
+				qf := 0.0 // freshAirForCO2
+				if !(vol <= 0) {
+					qf = freshAirForPPM(sc.genBel[zi], vol, zoneCO2[zi], outC, cp.CO2SetpointPPM)
+				}
+				q := fmin(fmax(qs, qf), cp.MaxZoneCFM)
+				fresh := fmin(qf, q)
 				sc.fresh[zi] = fresh
 				if q <= 0 {
 					continue
 				}
 				// Meter: Step's energy loop over the demanded zones.
 				tMix := mixedAirTempF(Demand{SupplyCFM: q, FreshCFM: fresh}, outT, sp.ZoneSetpointF)
-				coilW := q * math.Max(0, tMix-sp.SupplyAirTempF) * SensibleHeatFactor
+				coilW := q * fmax(0, tMix-sp.SupplyAirTempF) * SensibleHeatFactor
 				fanW := q * sp.FanWPerCFM
 				slotW += coilW + fanW
 				kwh := (coilW + fanW) * SlotMinutes / 60000
-				s.res.CoilKWh += coilW * SlotMinutes / 60000
-				s.res.FanKWh += fanW * SlotMinutes / 60000
-				s.res.ZoneCoilKWh[zi] += kwh
+				coilKWh += coilW * SlotMinutes / 60000
+				fanKWh += fanW * SlotMinutes / 60000
+				zoneKWh[zi] += kwh
 			}
-			for _, ai := range sc.onAppl {
-				appl := &s.house.Appliances[ai]
-				slotW += appl.PowerW
-				s.res.ApplianceKWh += appl.PowerW * SlotMinutes / 60000
+			for i, w := range sc.onW {
+				slotW += w
+				applKWh += sc.onKWh[i]
 			}
 			slotW += sp.BaseLoadW
-			s.res.BaseKWh += sp.BaseLoadW * SlotMinutes / 60000
+			baseKWh += baseSlotKWh
 
 			slotKWh := slotW * SlotMinutes / 60000
-			rate := s.pricing.RateAt(t, s.peakKWh)
-			if s.pricing.InPeak(t) {
-				s.peakKWh += slotKWh
+			rate := pr.RateAt(t, peakKWh)
+			if pr.InPeak(t) {
+				peakKWh += slotKWh
 			}
-			s.res.DailyKWh[d] += slotKWh
-			s.res.DailyCostUSD[d] += slotKWh * rate
+			dayKWh += slotKWh
+			dayCost += slotKWh * rate
 
 			for _, zi := range sc.zonesCO2 {
-				z := &s.house.Zones[zi]
-				r := math.Min(sc.fresh[zi]*SlotMinutes/z.VolumeFt3, 1)
-				s.zoneCO2[zi] = (1-r)*s.zoneCO2[zi] + r*outC + sc.genPPM[zi]
+				vol := house.Zones[zi].VolumeFt3
+				r := fmin(sc.fresh[zi]*SlotMinutes/vol, 1)
+				zoneCO2[zi] = (1-r)*zoneCO2[zi] + r*outC + sc.genAct[zi]
 			}
 		}
 		t0 = t1
 	}
-	s.res.TotalCostUSD += s.res.DailyCostUSD[d]
-	s.res.TotalKWh += s.res.DailyKWh[d]
+	s.res.CoilKWh, s.res.FanKWh, s.res.ApplianceKWh, s.res.BaseKWh = coilKWh, fanKWh, applKWh, baseKWh
+	s.res.DailyKWh = append(s.res.DailyKWh, dayKWh)
+	s.res.DailyCostUSD = append(s.res.DailyCostUSD, dayCost)
+	s.peakKWh = peakKWh
+	s.res.TotalCostUSD += dayCost
+	s.res.TotalKWh += dayKWh
 	s.day++
-}
-
-// segmentEnd returns the end (exclusive) of the maximal run starting at t0
-// over which every believed and actual column holds its t0 value.
-func segmentEnd(in *DayInput, t0 int) int {
-	t1 := aras.SlotsPerDay
-	for o := range in.BelievedZone {
-		t1 = runEnd(in.BelievedZone[o], t0, t1)
-		t1 = runEnd(in.BelievedAct[o], t0, t1)
-		t1 = runEnd(in.ActualZone[o], t0, t1)
-		t1 = runEnd(in.ActualAct[o], t0, t1)
-	}
-	for a := range in.BelievedAppliance {
-		t1 = runEnd(in.BelievedAppliance[a], t0, t1)
-		t1 = runEnd(in.ActualAppliance[a], t0, t1)
-	}
-	return t1
-}
-
-// runEnd narrows bound to the first index in (t0, bound) where col departs
-// from its t0 value.
-func runEnd[T comparable](col []T, t0, bound int) int {
-	v := col[t0]
-	for t := t0 + 1; t < bound; t++ {
-		if col[t] != v {
-			return t
-		}
-	}
-	return bound
 }

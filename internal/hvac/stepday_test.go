@@ -163,3 +163,58 @@ func TestStepDayMidDayRejected(t *testing.T) {
 		t.Fatalf("mid-day StepDay: got %v, want ErrNotDayBoundary", err)
 	}
 }
+
+// BenchmarkStepDay times one SHATTER-controller day of house A over the
+// falsified view (believed columns differ from the actual ones), the
+// attacked fleet's per-home-day plant step.
+func BenchmarkStepDay(b *testing.B) {
+	house := home.MustHouse("A")
+	tr, err := aras.Generate(house, aras.GeneratorConfig{Days: 1, Seed: 99})
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := DefaultParams()
+	sim, err := NewSim(house, &SHATTERController{Params: params}, params, DefaultPricing())
+	if err != nil {
+		b.Fatal(err)
+	}
+	believed, believedAppl := falsifiedView(tr, 0)
+	in := dayInputFor(tr, 0, believed, believedAppl)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sim.StepDay(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestStepDayZeroAllocs requires the day stepper to run allocation-free
+// once its scratch is sized. The per-day result series are given room
+// first, so only the kernel's own allocations count.
+func TestStepDayZeroAllocs(t *testing.T) {
+	house := home.MustHouse("A")
+	tr, err := aras.Generate(house, aras.GeneratorConfig{Days: 1, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := DefaultParams()
+	sim, err := NewSim(house, &SHATTERController{Params: params}, params, DefaultPricing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	believed, believedAppl := falsifiedView(tr, 0)
+	in := dayInputFor(tr, 0, believed, believedAppl)
+	if err := sim.StepDay(in); err != nil {
+		t.Fatal(err)
+	}
+	sim.res.DailyCostUSD = append(make([]float64, 0, 256), sim.res.DailyCostUSD...)
+	sim.res.DailyKWh = append(make([]float64, 0, 256), sim.res.DailyKWh...)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := sim.StepDay(in); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("StepDay allocates %v times per day", allocs)
+	}
+}

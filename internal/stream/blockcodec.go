@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"github.com/acyd-lab/shatter/internal/aras"
+	"github.com/acyd-lab/shatter/internal/boolcol"
 	"github.com/acyd-lab/shatter/internal/home"
 )
 
@@ -239,19 +240,18 @@ func appendActCol(dst []byte, col []home.ActivityID) ([]byte, error) {
 	return dst, nil
 }
 
+// appendBitset packs col one bit per slot, slot t at bit t&7 of byte t>>3,
+// eight slots per step.
 func appendBitset(dst []byte, col []bool) []byte {
-	var acc byte
-	for t, on := range col {
-		if on {
-			acc |= 1 << (t & 7)
-		}
-		if t&7 == 7 {
-			dst = append(dst, acc)
-			acc = 0
-		}
+	n := len(dst)
+	dst = append(dst, make([]byte, (len(col)+7)/8)...)
+	out, b := dst[n:], boolcol.Bytes(col)
+	for len(b) >= 8 {
+		out[0] = boolcol.Pack8(binary.LittleEndian.Uint64(b))
+		out, b = out[1:], b[8:]
 	}
-	if len(col)&7 != 0 {
-		dst = append(dst, acc)
+	for i, v := range b {
+		out[0] |= v << i
 	}
 	return dst
 }
@@ -320,12 +320,18 @@ func (r *reader) actCol(col []home.ActivityID) {
 	}
 }
 
+// bitset unpacks appendBitset's layout into col, eight slots per step.
 func (r *reader) bitset(col []bool) {
 	b := r.take((len(col) + 7) / 8)
 	if b == nil {
 		return
 	}
-	for t := range col {
-		col[t] = b[t>>3]&(1<<(t&7)) != 0
+	out := boolcol.Bytes(col)
+	for len(out) >= 8 {
+		binary.LittleEndian.PutUint64(out, boolcol.Unpack8(b[0]))
+		out, b = out[8:], b[1:]
+	}
+	for i := range out {
+		out[i] = b[0] >> i & 1
 	}
 }

@@ -209,3 +209,32 @@ func TestBlockFrameDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestBitsetMatchesBitLoop holds the eight-slot bitset packing to the
+// one-bit-per-iteration definition (slot t at bit t&7 of byte t>>3) on
+// column lengths with and without a partial last byte; frames always carry
+// whole bytes of 1440 slots, so the tail is only reached here.
+func TestBitsetMatchesBitLoop(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		col := make([]bool, n)
+		for i := range col {
+			col[i] = (i*7+n)%3 == 0
+		}
+		want := make([]byte, (n+7)/8)
+		for i, on := range col {
+			if on {
+				want[i>>3] |= 1 << (i & 7)
+			}
+		}
+		got := appendBitset([]byte{0xAA}, col)
+		if string(got[1:]) != string(want) || got[0] != 0xAA {
+			t.Fatalf("n=%d: packed % x, want % x", n, got[1:], want)
+		}
+		back := make([]bool, n)
+		r := reader{buf: got[1:]}
+		r.bitset(back)
+		if r.bad || !reflect.DeepEqual(back, col) {
+			t.Fatalf("n=%d: unpacked %v, want %v", n, back, col)
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 
 // buildAttack plans a triggered SHATTER campaign over the fixture world —
 // the shared setup for the attacked block-equivalence cases.
-func buildAttack(t *testing.T, tr *aras.Trace, model *adm.Model) *attack.Plan {
+func buildAttack(t testing.TB, tr *aras.Trace, model *adm.Model) *attack.Plan {
 	t.Helper()
 	pl := &attack.Planner{
 		Trace:     tr,

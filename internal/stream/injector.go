@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"github.com/acyd-lab/shatter/internal/attack"
+	"github.com/acyd-lab/shatter/internal/boolcol"
 	"github.com/acyd-lab/shatter/internal/home"
 )
 
@@ -18,8 +19,6 @@ import (
 type Injector struct {
 	house *home.House
 	plan  *attack.Plan
-	// forged is RewriteBlock's per-appliance forged-status scratch.
-	forgedCol [][]bool
 }
 
 // ErrNilInjector guards construction.
@@ -67,10 +66,11 @@ func (inj *Injector) Rewrite(s *Slot) {
 // RewriteBlock falsifies one whole day-block in place — the column-wise
 // counterpart of Rewrite, producing bit-identical reported and true columns:
 // occupancy columns come straight from the plan, triggered appliances are
-// OR-ed into the truth, and forged δ^D statuses are derived occupant-major
-// (appliance a reads "on" at slot t iff some falsified presence's reported
-// activity uses it in its zone — the same predicate forged evaluates
-// appliance-major). Blocks beyond the plan's horizon pass through
+// OR-ed into the truth eight slots per word, the believed statuses start as
+// a copy of the truth, and forged δ^D statuses are set only at falsified
+// slots (appliance a reads "on" at slot t iff some falsified presence's
+// reported activity uses it in its zone — the same predicate forged
+// evaluates appliance-major). Blocks beyond the plan's horizon pass through
 // truthfully.
 func (inj *Injector) RewriteBlock(b *DayBlock) {
 	d := b.Day
@@ -82,43 +82,20 @@ func (inj *Injector) RewriteBlock(b *DayBlock) {
 		copy(b.RepAct[o], inj.plan.RepAct[d][o])
 	}
 	for a := range b.TrueAppliance {
-		trig, col := inj.plan.Triggered[d][a], b.TrueAppliance[a]
-		for t := range col {
-			if trig[t] {
-				col[t] = true
-			}
-		}
-	}
-	if len(inj.forgedCol) != len(b.RepAppliance) {
-		inj.forgedCol = make([][]bool, len(b.RepAppliance))
-		for a := range inj.forgedCol {
-			inj.forgedCol[a] = make([]bool, len(b.RepAppliance[a]))
-		}
-	}
-	for a := range inj.forgedCol {
-		col := inj.forgedCol[a]
-		for t := range col {
-			col[t] = false
-		}
+		boolcol.Or(b.TrueAppliance[a], inj.plan.Triggered[d][a])
+		copy(b.RepAppliance[a], b.TrueAppliance[a])
 	}
 	for o := range b.RepZone {
 		zones, acts, truth := b.RepZone[o], b.RepAct[o], b.TrueZone[o]
-		for t := range zones {
-			z := zones[t]
+		for t, z := range zones {
 			if z == truth[t] {
 				continue // only falsified presences carry forged statuses
 			}
 			for _, ai := range inj.house.AppliancesForActivity(acts[t]) {
 				if inj.house.Appliances[ai].Zone == z {
-					inj.forgedCol[ai][t] = true
+					b.RepAppliance[ai][t] = true
 				}
 			}
-		}
-	}
-	for a := range b.RepAppliance {
-		rep, truth, forged := b.RepAppliance[a], b.TrueAppliance[a], inj.forgedCol[a]
-		for t := range rep {
-			rep[t] = truth[t] || forged[t]
 		}
 	}
 }

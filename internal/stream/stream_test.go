@@ -16,7 +16,7 @@ import (
 // testWorld generates a paper house's batch trace and a DBSCAN defender
 // trained on its first trainDays days — the shared fixture the equivalence
 // tests replay through the streaming runtime.
-func testWorld(t *testing.T, name string, days, trainDays int) (*aras.Trace, *adm.Model) {
+func testWorld(t testing.TB, name string, days, trainDays int) (*aras.Trace, *adm.Model) {
 	t.Helper()
 	house := home.MustHouse(name)
 	tr, err := aras.Generate(house, aras.GeneratorConfig{Days: days, Seed: 2024})
